@@ -22,12 +22,9 @@ Subcommands::
     polynima profile collect <prog.vxe> -o prof.json    # PGO: record
     polynima profile merge   a.json b.json -o out.json  # PGO: combine
     polynima profile show    prof.json [--json]         # PGO: inspect
-    polynima serve    [--port N] [--workers N]          # recompilation daemon
-    polynima submit   <prog.vxe> -o out.vxe             # client for serve
 
 Full reference with examples: ``docs/CLI.md``; the profile-guided
-workflow is walked through in ``docs/PGO.md``; the service is
-documented in ``docs/SERVICE.md``.
+workflow is walked through in ``docs/PGO.md``.
 """
 
 from __future__ import annotations
@@ -38,8 +35,9 @@ import sys
 from typing import List, Optional
 
 from .binfmt import Image
-from .core import (AdditiveLifting, Disassembler, ICFTTracer, Lifter,
-                   Recompiler, make_library, optimize_fences, run_image)
+from .core import (OPT_LEVELS, AdditiveLifting, Disassembler, ICFTTracer,
+                   Lifter, Recompiler, make_library, optimize_fences,
+                   run_image)
 from .emulator import EmulationFault, Machine
 from .ir import format_module
 from .minicc import compile_minic
@@ -316,7 +314,8 @@ def cmd_batch(args) -> int:
 
     Jobs come from a JSON manifest (see ``docs/CLI.md``) or are built
     from ``--group``/``--workload``/``--opt``.  Exit status: 0 when
-    every job succeeded, 1 otherwise.
+    every job succeeded, 1 when at least one job failed, 2 on a usage
+    error (unreadable or malformed manifest, unknown group).
     """
     from .core import (ArtifactCache, BatchError, default_cache_dir,
                        jobs_for_group, load_manifest, run_batch)
@@ -356,93 +355,6 @@ def cmd_batch(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_serve(args) -> int:
-    """``polynima serve``: run the recompilation daemon until
-    SIGTERM/SIGINT, then drain gracefully and exit 0."""
-    import asyncio
-
-    from .core import ArtifactCache, default_cache_dir
-    from .service import RecompileService
-    cache = None
-    if not args.no_cache:
-        cache = ArtifactCache(args.cache_dir or default_cache_dir())
-    service = RecompileService(
-        host=args.host, port=args.port, workers=args.workers,
-        queue_limit=args.queue_limit, cache=cache,
-        job_timeout=args.job_timeout, retries=args.retries,
-        executor="thread" if args.thread_executor else "process",
-        metrics_out=args.metrics_out, verbose=not args.quiet)
-
-    # The ready line is a contract: scripts (and the CI smoke job)
-    # parse it to learn the ephemeral port.
-    asyncio.run(service.run(on_ready=lambda s: print(
-        f"polynima-service listening on {s.host}:{s.port}", flush=True)))
-    return 0
-
-
-def cmd_submit(args) -> int:
-    """``polynima submit``: send one recompilation to a running
-    ``polynima serve`` daemon and (by default) wait for the artifact.
-
-    Exit status: 0 done, 1 job failed, 2 rejected/unreachable.
-    """
-    from .service import ErrorResponse, ServiceClient, ServiceError
-    client = ServiceClient(args.host, args.port, timeout=args.timeout)
-    options = dict(opt_level=args.opt, size=args.size, seed=args.seed,
-                   fence_opt=args.fence_opt, profile=args.profile_in,
-                   priority=args.priority)
-    try:
-        if args.workload:
-            submitted = client.submit(workload=args.workload, **options)
-        elif args.binary:
-            with open(args.binary, "rb") as handle:
-                submitted = client.submit(image_bytes=handle.read(),
-                                          **options)
-        else:
-            print("submit: need a binary path or --workload",
-                  file=sys.stderr)
-            return 2
-        if isinstance(submitted, ErrorResponse):
-            hint = (f" (retry after {submitted.retry_after}s)"
-                    if submitted.retry_after else "")
-            print(f"submit: rejected ({submitted.code}): "
-                  f"{submitted.error}{hint}", file=sys.stderr)
-            return 2
-        print(f"submitted {submitted.job_id} digest "
-              f"{submitted.digest[:12]} "
-              f"({'coalesced' if submitted.coalesced else 'queued'}, "
-              f"queue depth {submitted.queue_depth})")
-        if args.no_wait:
-            return 0
-        result = client.result(submitted.job_id, wait=True,
-                               timeout=args.timeout)
-    except ServiceError as exc:
-        print(f"submit: {exc}", file=sys.stderr)
-        return 2
-    if isinstance(result, ErrorResponse) or result.error is not None:
-        error = result.error
-        print(f"submit: job failed: {error}", file=sys.stderr)
-        return 1
-    if args.json:
-        payload = result.as_dict()
-        payload.pop("image_b64", None)
-        json.dump(payload, sys.stdout, indent=1, sort_keys=True)
-        print()
-    if args.output:
-        image = result.image_bytes()
-        with open(args.output, "wb") as handle:
-            handle.write(image or b"")
-        print(f"wrote {args.output} ({len(image or b'')} bytes, "
-              f"{'cache hit' if result.cached else 'recompiled'}, "
-              f"{result.seconds:.2f}s)")
-    else:
-        print(f"{submitted.job_id} {result.state}: sha256 "
-              f"{result.image_sha256[:12]}, "
-              f"{'cache hit' if result.cached else 'recompiled'}, "
-              f"{result.seconds:.2f}s")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for every subcommand."""
     parser = argparse.ArgumentParser(
@@ -454,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile MiniC source to a VXE binary")
     p.add_argument("source")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("-O", "--opt", type=int, default=0, choices=(0, 2, 3))
+    p.add_argument("-O", "--opt", type=int, default=0, choices=OPT_LEVELS)
     p.set_defaults(func=cmd_compile)
 
     def common_run_args(p):
@@ -582,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", action="append", metavar="NAME",
                    help="restrict --group to these workloads (repeatable)")
     p.add_argument("--opt", action="append", type=int, metavar="N",
-                   choices=(0, 2, 3),
+                   choices=OPT_LEVELS,
                    help="opt level(s) for --group jobs (repeatable; "
                         "default 3)")
     p.add_argument("--fence-opt", action="store_true",
@@ -609,78 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the batch summary as JSON")
     p.set_defaults(func=cmd_batch)
 
-    p = sub.add_parser("serve", help="run the recompilation-as-a-"
-                                     "service daemon")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="interface to bind (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=7421,
-                   help="TCP port (default 7421; 0 picks an ephemeral "
-                        "port, printed in the ready line)")
-    p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="concurrent pipeline executions (default 2)")
-    p.add_argument("--queue-limit", type=int, default=32, metavar="N",
-                   help="queued-job bound; beyond it submits get a "
-                        "'busy' response with a retry_after hint "
-                        "(default 32)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="artifact cache directory (default "
-                        "$POLYNIMA_CACHE_DIR or ~/.cache/polynima)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="serve without the artifact cache (every job "
-                        "recompiles)")
-    p.add_argument("--job-timeout", type=float, default=600.0,
-                   metavar="SECONDS",
-                   help="per-job execution budget (default 600)")
-    p.add_argument("--retries", type=int, default=1, metavar="N",
-                   help="retry attempts per failing job, with "
-                        "exponential backoff + jitter (default 1)")
-    p.add_argument("--thread-executor", action="store_true",
-                   help="run jobs on threads instead of forked worker "
-                        "processes (hosts where fork is unavailable)")
-    p.add_argument("--metrics-out", metavar="OUT.json",
-                   help="write a final counters snapshot here when the "
-                        "server drains")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-job log lines on stderr")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("submit", help="submit one recompilation to a "
-                                      "running serve daemon")
-    p.add_argument("binary", nargs="?",
-                   help=".vxe binary to recompile (shipped inline; "
-                        "omit to use --workload)")
-    p.add_argument("--workload", metavar="NAME",
-                   help="submit a registry workload (full hybrid "
-                        "pipeline) instead of a binary")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="service host (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=7421,
-                   help="service port (default 7421)")
-    p.add_argument("-o", "--output", metavar="OUT.vxe",
-                   help="write the recompiled artifact here")
-    p.add_argument("--opt", type=int, default=3, choices=(0, 2, 3),
-                   help="workload opt level (default 3; workload "
-                        "submissions only)")
-    p.add_argument("--size", help="workload input size tier")
-    p.add_argument("--seed", type=int, default=21,
-                   help="seed for the dynamic analyses (default 21)")
-    p.add_argument("--fence-opt", action="store_true",
-                   help="run the §3.4 fence-removal analysis "
-                        "(workload submissions only)")
-    p.add_argument("--profile-in", metavar="PROF.json",
-                   help="server-side path of a guiding execution "
-                        "profile (digest joins the cache key)")
-    p.add_argument("--priority", type=int, default=0,
-                   help="queue priority; lower runs earlier (default 0)")
-    p.add_argument("--no-wait", action="store_true",
-                   help="return after enqueueing; poll later via the "
-                        "job id")
-    p.add_argument("--timeout", type=float, default=600.0,
-                   metavar="SECONDS",
-                   help="client-side wait budget (default 600)")
-    p.add_argument("--json", action="store_true",
-                   help="print the result metadata as JSON on stdout")
-    p.set_defaults(func=cmd_submit)
     return parser
 
 

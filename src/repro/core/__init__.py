@@ -12,8 +12,8 @@ from .additive import AdditiveLifting, AdditiveReport
 from .artifact_cache import (ARTIFACT_FORMAT, PIPELINE_VERSION, ArtifactCache,
                              CacheError, CachedArtifact, default_cache_dir,
                              stable_digest)
-from .batch import (BatchError, BatchResult, CachedRecompilation, JobResult,
-                    RecompileJob, execute_job, hybrid_recompile,
+from .batch import (OPT_LEVELS, BatchError, BatchResult, CachedRecompilation,
+                    JobResult, RecompileJob, execute_job, hybrid_recompile,
                     jobs_for_group, load_manifest, run_batch)
 from .callbacks import CallbackReport, discover_callbacks
 from .fence_opt import FenceOptReport, optimize_fences
@@ -42,7 +42,8 @@ __all__ = [
     "AdditiveLifting", "AdditiveReport",
     "ARTIFACT_FORMAT", "PIPELINE_VERSION", "ArtifactCache", "CacheError",
     "CachedArtifact", "default_cache_dir", "stable_digest",
-    "BatchError", "BatchResult", "CachedRecompilation", "JobResult",
+    "OPT_LEVELS", "BatchError", "BatchResult", "CachedRecompilation",
+    "JobResult",
     "RecompileJob", "execute_job", "hybrid_recompile", "jobs_for_group",
     "load_manifest", "run_batch",
     "CallbackReport", "discover_callbacks",

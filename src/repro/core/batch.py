@@ -46,6 +46,17 @@ from .recompiler import RecompileStats, Recompiler, _STAGE_FIELDS
 #: hosts where forking workers is undesirable).
 _INPROCESS_ENV = "POLYNIMA_BATCH_INPROCESS"
 
+#: The opt levels a job (and ``polynima compile``/``batch --opt``) may
+#: name: the MiniC front end's stack-machine O0 and its O2/O3 backends.
+OPT_LEVELS = (0, 2, 3)
+
+#: Manifest field -> required type; the str fields are optional and
+#: also accept ``None``.  Checked with ``type() is`` so a JSON ``true``
+#: is not taken for an int.
+_FIELD_TYPES = {"workload": str, "binary": str, "size": str,
+                "profile": str, "output": str, "seed": int,
+                "fence_opt": bool, "with_callbacks": bool}
+
 
 class BatchError(Exception):
     """Raised for unrunnable jobs (bad manifest fields, missing files)
@@ -85,6 +96,17 @@ class RecompileJob:
         return os.path.basename(self.binary or "?")
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is None and kind is str:
+                continue                # optional field left unset
+            if type(value) is not kind:
+                raise BatchError(f"job field {name!r} must be "
+                                 f"{kind.__name__}, got {value!r}")
+        if type(self.opt_level) is not int or \
+                self.opt_level not in OPT_LEVELS:
+            raise BatchError(f"job field 'opt_level' must be one of "
+                             f"{list(OPT_LEVELS)}, got {self.opt_level!r}")
         if bool(self.workload) == bool(self.binary):
             raise BatchError(
                 f"job {self.name!r}: exactly one of 'workload'/'binary' "
@@ -101,6 +123,9 @@ class RecompileJob:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RecompileJob":
+        if not isinstance(data, dict):
+            raise BatchError(f"a job must be an object of job fields, "
+                             f"got {data!r}")
         known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
         unknown = set(data) - set(known)
         if unknown:
@@ -332,8 +357,7 @@ def execute_job(job: RecompileJob, index: int = 0,
                 verify: bool = False) -> JobResult:
     """Run one job under its own tracer and return its result.  All
     exceptions — including validation failures — are captured into
-    ``JobResult.error``; a batch (or the service's worker pool) never
-    dies because one job did."""
+    ``JobResult.error``; a batch never dies because one job did."""
     tracer = Tracer()
     result = JobResult(index=index, name=job.name)
     started = time.perf_counter()
@@ -435,11 +459,13 @@ def _worker(payload: Tuple[int, Dict[str, Any], Optional[Dict[str, Any]],
     """Process-pool entry point.  Takes plain picklable data, opens its
     own cache handle (atomic writes make concurrent workers safe), and
     returns the JobResult as a dict.  Even an unconstructable job
-    yields a structured error result — nothing escapes to the pool."""
+    yields a structured error result — nothing escapes to the pool.
+    The worker's own ``cache.*`` counts ride along under
+    ``cache_counters``: empty for a job that failed before its lookup."""
     index, job_dict, cache_conf, verify = payload
+    cache = None
     try:
         job = RecompileJob.from_dict(job_dict)
-        cache = None
         if cache_conf is not None:
             cache = ArtifactCache(cache_conf["root"],
                                   version=cache_conf["version"])
@@ -450,6 +476,8 @@ def _worker(payload: Tuple[int, Dict[str, Any], Optional[Dict[str, Any]],
             traceback.format_exception_only(type(exc), exc)).strip())
     data = result.as_dict()
     data["trace"] = result.trace
+    data["cache_counters"] = \
+        cache.counters.snapshot() if cache is not None else {}
     return data
 
 
@@ -578,24 +606,26 @@ def run_batch(jobs: Sequence[RecompileJob], jobs_n: int = 1,
 
     want_pool = jobs_n > 1 and len(payloads) > 1 \
         and not os.environ.get(_INPROCESS_ENV)
-    results: Optional[List[JobResult]] = None
+    outputs: Optional[List[Dict[str, Any]]] = None
     executor = "inline"
     workers = 1
     if want_pool:
         try:
-            results = _run_pool(payloads, jobs_n)
+            outputs = _run_pool(payloads, jobs_n)
             executor = "process"
             workers = min(jobs_n, len(payloads))
         except Exception:       # noqa: BLE001 - pool infra failed, go inline
-            results = None
-    if results is None:
-        results = [_result_from_worker(_worker(payload))
-                   for payload in payloads]
+            outputs = None
+    if outputs is None:
+        outputs = [_worker(payload) for payload in payloads]
     if cache is not None:
-        # Aggregate worker-side cache activity into the parent registry
-        # (invalid jobs never touched the cache and are not counted).
-        for r in results:
-            cache.counters.inc("cache.hits" if r.cached else "cache.misses")
+        # Aggregate each worker's own cache activity into the parent
+        # registry; a job that failed before reaching the cache (invalid,
+        # unknown workload, unloadable input) contributes nothing.
+        for data in outputs:
+            for name, value in data["cache_counters"].items():
+                cache.counters.inc(name, value)
+    results = [_result_from_worker(data) for data in outputs]
     results.extend(invalid.values())
     results.sort(key=lambda r: r.index)
     return BatchResult(results=results,
@@ -603,11 +633,10 @@ def run_batch(jobs: Sequence[RecompileJob], jobs_n: int = 1,
                        executor=executor, workers=workers)
 
 
-def _run_pool(payloads, jobs_n: int) -> List[JobResult]:
+def _run_pool(payloads, jobs_n: int) -> List[Dict[str, Any]]:
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs_n, len(payloads))) as pool:
-        return [_result_from_worker(data)
-                for data in pool.map(_worker, payloads)]
+        return list(pool.map(_worker, payloads))
 
 
 # ---------------------------------------------------------------------------
@@ -616,16 +645,27 @@ def _run_pool(payloads, jobs_n: int) -> List[JobResult]:
 
 def load_manifest(path: str) -> List[RecompileJob]:
     """Parse a job manifest: either ``{"jobs": [...]}`` or a bare JSON
-    list of job objects (fields of :class:`RecompileJob`)."""
+    list of job objects (fields of :class:`RecompileJob`).  Anything
+    malformed — unreadable file, bad JSON, a job of the wrong shape or
+    field type — raises :class:`BatchError` naming the offending job."""
     import json
-    with open(path) as handle:
-        data = json.load(handle)
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise BatchError(f"{path}: cannot read manifest: {exc}")
     if isinstance(data, dict):
         data = data.get("jobs")
     if not isinstance(data, list):
         raise BatchError(f"{path}: manifest must be a list of jobs or "
                          f"an object with a 'jobs' list")
-    return [RecompileJob.from_dict(item) for item in data]
+    jobs = []
+    for i, item in enumerate(data):
+        try:
+            jobs.append(RecompileJob.from_dict(item))
+        except BatchError as exc:
+            raise BatchError(f"{path}: job {i}: {exc}")
+    return jobs
 
 
 def jobs_for_group(group: str, opt_levels: Sequence[int] = (3,),

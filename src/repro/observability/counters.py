@@ -7,9 +7,9 @@ the emulator's hot loop can keep plain attribute counters and publish
 them into a :class:`Counters` snapshot only when asked.
 
 The registry is thread-safe: every mutation and every read snapshot
-takes an internal lock, because the recompilation service updates one
-registry concurrently from the asyncio event loop, executor completion
-callbacks and client-handler tasks.  Hot loops must *not* call
+takes an internal lock, so one registry can be shared across threads —
+for example the ``cache.*`` counters of an ``ArtifactCache`` that
+several threads read through.  Hot loops must *not* call
 :meth:`inc` per event — they keep local counters and publish once, so
 the lock never shows up in a profile.
 """

@@ -197,9 +197,10 @@ class TestArtifactCache:
 
 
 # ---------------------------------------------------------------------------
-# Concurrent publication (the service's coalescing + batch workers both
-# lean on os.replace atomicity: N writers of one digest must all
-# succeed, and a reader must never observe a torn entry)
+# Concurrent publication (parallel batch workers, and any threads or
+# processes sharing one cache directory, lean on os.replace atomicity:
+# N writers of one digest must all succeed, and a reader must never
+# observe a torn entry)
 
 
 def _publisher(root, digest, payload, rounds, barrier):

@@ -26,6 +26,34 @@ int main() {
 """
 
 
+#: Manifest items that must fail with a typed error, not deep in the
+#: pipeline: (item, text the BatchError must contain).
+HOSTILE_JOBS = [
+    pytest.param(3, "must be an object", id="int-item"),
+    pytest.param("x", "must be an object", id="str-item"),
+    pytest.param({"workload": "pca", "opt_level": "3"}, "'opt_level'",
+                 id="opt-level-str"),
+    pytest.param({"workload": "pca", "opt_level": True}, "'opt_level'",
+                 id="opt-level-bool"),
+    pytest.param({"workload": "pca", "opt_level": 1}, "'opt_level'",
+                 id="opt-level-1"),
+    pytest.param({"workload": "pca", "seed": "7"}, "'seed'", id="seed-str"),
+    pytest.param({"workload": "pca", "seed": False}, "'seed'",
+                 id="seed-bool"),
+    pytest.param({"workload": "pca", "fence_opt": 1}, "'fence_opt'",
+                 id="fence-opt-int"),
+    pytest.param({"workload": "pca", "with_callbacks": "yes"},
+                 "'with_callbacks'", id="with-callbacks-str"),
+    pytest.param({"workload": 5}, "'workload'", id="workload-int"),
+    pytest.param({"binary": ["a.vxe"]}, "'binary'", id="binary-list"),
+    pytest.param({"workload": "pca", "size": 1}, "'size'", id="size-int"),
+    pytest.param({"workload": "pca", "profile": {}}, "'profile'",
+                 id="profile-dict"),
+    pytest.param({"binary": "a.vxe", "output": 1}, "'output'",
+                 id="output-int"),
+]
+
+
 @pytest.fixture(scope="module")
 def tiny_binaries(tmp_path_factory):
     """Three small .vxe files compiled at different opt levels."""
@@ -68,6 +96,11 @@ class TestRecompileJob:
         with pytest.raises(BatchError, match="unknown job fields"):
             RecompileJob.from_dict({"workload": "pca", "optlvl": 3})
 
+    @pytest.mark.parametrize("item, match", HOSTILE_JOBS)
+    def test_from_dict_rejects_hostile_jobs(self, item, match):
+        with pytest.raises(BatchError, match=match):
+            RecompileJob.from_dict(item)
+
     def test_load_manifest(self, tmp_path):
         path = tmp_path / "jobs.json"
         path.write_text(json.dumps({"jobs": [
@@ -79,6 +112,39 @@ class TestRecompileJob:
         # Bare-list form.
         path.write_text(json.dumps([{"workload": "pca"}]))
         assert load_manifest(str(path))[0].workload == "pca"
+
+    @pytest.mark.parametrize("item, match", HOSTILE_JOBS)
+    def test_load_manifest_rejects_hostile_jobs(self, tmp_path, item,
+                                                match):
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps({"jobs": [{"workload": "pca"}, item]}))
+        with pytest.raises(BatchError, match=f"job 1: .*{match}"):
+            load_manifest(str(path))
+
+    @pytest.mark.parametrize("text", ["{not json", "{}", "7"])
+    def test_load_manifest_rejects_malformed_files(self, tmp_path, text):
+        path = tmp_path / "jobs.json"
+        path.write_text(text)
+        with pytest.raises(BatchError, match="jobs.json"):
+            load_manifest(str(path))
+
+    def test_load_manifest_rejects_missing_file(self, tmp_path):
+        with pytest.raises(BatchError, match="cannot read manifest"):
+            load_manifest(str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize("items", [
+        [3, "x"],
+        [{"workload": "histogram", "opt_level": "3"}],
+        [{"workload": "histogram", "opt_level": True}],
+    ], ids=["non-object", "opt-level-str", "opt-level-bool"])
+    def test_cli_batch_rejects_hostile_manifest(self, tmp_path, capsys,
+                                                items):
+        from repro.cli import main
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps(items))
+        assert main(["batch", str(path), "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("batch: ") and err.count("\n") == 1, err
 
     def test_jobs_for_group(self):
         jobs = jobs_for_group("phoenix", opt_levels=[0])
@@ -239,6 +305,23 @@ class TestRunBatch:
                           cache=ArtifactCache(str(tmp_path / "c")))
         assert batch.executor == "process"
         assert [r.ok for r in batch.results] == [True, False, True]
+
+    @pytest.mark.parametrize("jobs_n", [1, 2])
+    def test_failed_before_lookup_not_counted(self, tiny_binaries,
+                                              tmp_path, jobs_n):
+        """Only jobs that reached the cache count as hits or misses: an
+        unknown workload, an unloadable profile or binary never looked
+        anything up."""
+        cache = ArtifactCache(str(tmp_path / "c"))
+        jobs = [RecompileJob(workload="no-such-workload"),
+                RecompileJob(workload="histogram",
+                             profile=str(tmp_path / "missing.json")),
+                RecompileJob(binary="/nope/nothing.vxe"),
+                RecompileJob(binary=tiny_binaries[0])]
+        batch = run_batch(jobs, jobs_n=jobs_n, cache=cache)
+        assert [r.ok for r in batch.results] == [False, False, False, True]
+        assert cache.counters.get("cache.misses") == 1
+        assert cache.counters.get("cache.hits") == 0
 
     def test_execute_job_captures_validation_error(self):
         result = execute_job(RecompileJob(), 3)

@@ -3,7 +3,8 @@
 ``docs/CLI.md`` documents every ``polynima`` subcommand; this test
 walks the real argparse tree so adding a subcommand or option without
 documenting it fails CI.  ``docs/REPRODUCING.md`` must mention every
-bench script, and the README must link both documents.
+bench script, and the README must link both documents.  The CI workflow
+must only name scripts and pytest markers that exist.
 """
 
 import argparse
@@ -81,8 +82,7 @@ class TestReproducingDoc:
 
     def test_smoke_scripts_mentioned(self):
         doc = _read("docs", "REPRODUCING.md")
-        for smoke in ("smoke_trace.py", "smoke_batch.py", "smoke_pgo.py",
-                      "smoke_service.py"):
+        for smoke in ("smoke_trace.py", "smoke_batch.py", "smoke_pgo.py"):
             assert smoke in doc
 
 
@@ -93,7 +93,7 @@ class TestCrossReferences:
         for doc in ("docs/REPRODUCING.md", "docs/CLI.md",
                     "docs/ARCHITECTURE.md", "docs/OBSERVABILITY.md",
                     "docs/PERFORMANCE.md", "docs/SANITIZERS.md",
-                    "docs/ISA.md", "docs/PGO.md", "docs/SERVICE.md"):
+                    "docs/ISA.md", "docs/PGO.md"):
             assert doc in readme, f"README.md does not link {doc}"
 
     def test_docs_cross_reference_each_other(self):
@@ -101,11 +101,58 @@ class TestCrossReferences:
         # or the architecture overview, so no page is a dead end.
         for name in ("ARCHITECTURE.md", "OBSERVABILITY.md",
                      "PERFORMANCE.md", "SANITIZERS.md", "CLI.md",
-                     "ISA.md", "PGO.md", "SERVICE.md"):
+                     "ISA.md", "PGO.md"):
             doc = _read("docs", name)
             others = re.findall(r"\[([A-Z]+\.md)\]\(", doc) + \
                 re.findall(r"docs/([A-Z]+\.md)", doc)
             assert others, f"docs/{name} references no sibling docs"
+
+
+class TestCiWorkflow:
+    """``.github/workflows/ci.yml`` must not outlive what it runs: every
+    script it names exists, and its pytest markers match the ones
+    ``pyproject.toml`` declares (parsed by regex, no YAML/TOML reader
+    needed)."""
+
+    @pytest.fixture(scope="class")
+    def ci_yml(self):
+        # Fold shell line continuations so one command is one line.
+        return _read(".github", "workflows", "ci.yml").replace("\\\n", " ")
+
+    @pytest.fixture(scope="class")
+    def declared_markers(self):
+        block = re.search(r"^markers = \[(.*?)^\]", _read("pyproject.toml"),
+                          re.M | re.S)
+        assert block, "pyproject.toml declares no pytest markers"
+        return set(re.findall(r'^\s*"(\w+):', block.group(1), re.M))
+
+    def test_named_scripts_exist(self, ci_yml):
+        paths = set(re.findall(r"\b((?:benchmarks|tests)/[\w/.-]+\.py)\b",
+                               ci_yml))
+        # Scripts run by bare name after `cd benchmarks`.
+        for command in re.findall(r"cd benchmarks && (.*)", ci_yml):
+            paths.update(f"benchmarks/{name}" for name in
+                         re.findall(r"\b(\w+\.py)\b", command))
+        assert any(p.startswith("benchmarks/bench_") for p in paths)
+        missing = sorted(p for p in paths
+                         if not os.path.isfile(os.path.join(REPO, p)))
+        assert not missing, f"ci.yml runs missing scripts: {missing}"
+
+    def test_ci_markers_are_declared(self, ci_yml, declared_markers):
+        used = set(re.findall(r"\bpytest\b[^\n]*?\s-m\s+(\w+)", ci_yml))
+        assert used, "ci.yml selects no pytest markers"
+        undeclared = sorted(used - declared_markers)
+        assert not undeclared, f"ci.yml uses undeclared markers: {undeclared}"
+
+    def test_declared_markers_are_used(self, declared_markers):
+        sources = "".join(
+            _read(path)
+            for top in ("benchmarks", "tests")
+            for path in glob.glob(os.path.join(REPO, top, "**", "*.py"),
+                                  recursive=True))
+        unused = sorted(m for m in declared_markers
+                        if f"mark.{m}" not in sources)
+        assert not unused, f"pyproject.toml declares unused markers: {unused}"
 
 
 class TestIsaReference:

@@ -187,8 +187,8 @@ class TestCounters:
 
 
 class TestCountersThreadSafety:
-    """The recompilation service updates one registry from the asyncio
-    loop, executor callbacks and client handlers concurrently; without
+    """One registry may be shared across threads — for example the
+    counters of an ``ArtifactCache`` read from several threads; without
     the internal lock, racing read-modify-write ``inc`` calls lose
     updates."""
 
@@ -203,9 +203,9 @@ class TestCountersThreadSafety:
         def hammer(tid):
             barrier.wait()
             for _ in range(self.ROUNDS):
-                counters.inc("svc.shared")
-                counters.inc("svc.weighted", 2)
-                counters.inc(f"svc.private.{tid}")
+                counters.inc("race.shared")
+                counters.inc("race.weighted", 2)
+                counters.inc(f"race.private.{tid}")
 
         threads = [threading.Thread(target=hammer, args=(t,))
                    for t in range(self.THREADS)]
@@ -213,10 +213,10 @@ class TestCountersThreadSafety:
             t.start()
         for t in threads:
             t.join()
-        assert counters.get("svc.shared") == self.THREADS * self.ROUNDS
-        assert counters.get("svc.weighted") == 2 * self.THREADS * self.ROUNDS
+        assert counters.get("race.shared") == self.THREADS * self.ROUNDS
+        assert counters.get("race.weighted") == 2 * self.THREADS * self.ROUNDS
         for tid in range(self.THREADS):
-            assert counters.get(f"svc.private.{tid}") == self.ROUNDS
+            assert counters.get(f"race.private.{tid}") == self.ROUNDS
 
     def test_snapshots_during_mutation_are_consistent(self):
         """Readers taking snapshots while writers increment must never
