@@ -1,17 +1,15 @@
 #!/usr/bin/env python
 """Emulator throughput: host-side guest instructions/sec across engines.
 
-Three engines, one emulated machine:
+Two engines, one emulated machine:
 
 - ``reference`` — the seed interpreter (per-step cost recomputation
   plus a per-instruction runnable rescan, kept verbatim in
   ``Machine._run_reference``/``_step_reference``).
 - ``fast`` — the two-tier plan-cache + superblock engine
   (``repro/emulator/engine.py``).
-- ``jit`` — the tier-3 trace JIT that compiles hot superblocks into
-  specialized Python code objects (``repro/emulator/jit.py``).
 
-All three are bit-identical per seed — this bench asserts that on
+Both are bit-identical per seed — this bench asserts that on
 every run, so the numbers always compare the same emulated work.
 
 Writes ``BENCH_emulator.json`` at the repo root to seed the perf
@@ -37,7 +35,7 @@ from common import geomean, write_result
 FULL_WORKLOADS = ("histogram", "kmeans", "linear_regression",
                   "matrix_multiply", "pca", "string_match", "word_count")
 SMOKE_WORKLOADS = ("histogram", "string_match")
-ENGINES = ("reference", "fast", "jit")
+ENGINES = ("reference", "fast")
 SIZE = "small"
 OPT_LEVEL = 3
 SEED = 7
@@ -65,12 +63,6 @@ def bench_one(name: str, repeats: int):
     seconds = {engine: float("inf") for engine in ENGINES}
     fingerprints = {}
     instructions = 0
-    jit_stats = {}
-    # Warm the image-attached shared trace cache with one untimed run,
-    # so jit timings measure steady-state throughput rather than the
-    # one-off trace compilation (which later runs of the same image
-    # skip entirely).  Matters in --smoke mode, where repeats == 1.
-    _timed_run(image, workload.library(SIZE), "jit")
     for _ in range(repeats):
         for engine in ENGINES:
             elapsed, fingerprint, machine = _timed_run(
@@ -78,8 +70,6 @@ def bench_one(name: str, repeats: int):
             seconds[engine] = min(seconds[engine], elapsed)
             fingerprints[engine] = fingerprint
             instructions = machine.instructions
-            if engine == "jit":
-                jit_stats = machine.jit_stats()
     # Determinism invariant: same stdout/exit/wall_cycles/context
     # switches/perf counters from every engine, every single run.
     for engine in ENGINES[1:]:
@@ -92,15 +82,9 @@ def bench_one(name: str, repeats: int):
         "guest_instructions": instructions,
         "reference_seconds": round(seconds["reference"], 6),
         "fast_seconds": round(seconds["fast"], 6),
-        "jit_seconds": round(seconds["jit"], 6),
         "reference_ips": round(ips["reference"]),
         "fast_ips": round(ips["fast"]),
-        "jit_ips": round(ips["jit"]),
         "fast_vs_reference": round(ips["fast"] / ips["reference"], 3),
-        "jit_vs_reference": round(ips["jit"] / ips["reference"], 3),
-        "jit_vs_fast": round(ips["jit"] / ips["fast"], 3),
-        "jit_traces": jit_stats.get("jit.traces", 0),
-        "jit_deopts": jit_stats.get("jit.deopts", 0),
     }
 
 
@@ -108,33 +92,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="CI mode: two workloads, one repeat, "
-                             "relaxed speedup floors")
+                             "relaxed speedup floor")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timing repeats per engine (best-of)")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail if the fast-vs-reference geomean is "
                              "below this (default: 1.2 in --smoke, "
                              "report-only otherwise)")
-    parser.add_argument("--min-jit-speedup", type=float, default=None,
-                        help="fail if the jit-vs-fast geomean is below "
-                             "this (default: 1.15 in --smoke, "
-                             "report-only otherwise)")
     args = parser.parse_args(argv)
 
     names = SMOKE_WORKLOADS if args.smoke else FULL_WORKLOADS
     repeats = args.repeats or (1 if args.smoke else 3)
     min_speedup = args.min_speedup
-    min_jit_speedup = args.min_jit_speedup
-    if args.smoke:
-        if min_speedup is None:
-            min_speedup = 1.2      # generous floors for noisy CI runners
-        if min_jit_speedup is None:
-            min_jit_speedup = 1.15
+    if args.smoke and min_speedup is None:
+        min_speedup = 1.2      # generous floor for noisy CI runners
 
     rows = [bench_one(name, repeats) for name in names]
     fast_geomean = geomean([row["fast_vs_reference"] for row in rows])
-    jit_geomean = geomean([row["jit_vs_reference"] for row in rows])
-    jit_vs_fast = geomean([row["jit_vs_fast"] for row in rows])
 
     record = {
         "benchmark": "emulator_throughput",
@@ -142,7 +116,6 @@ def main(argv=None) -> int:
         "engines": {
             "reference": "seed per-step interpreter loop",
             "fast": "ExecPlan cache + superblock dispatch",
-            "jit": "tier-3 trace JIT (specialized Python code objects)",
         },
         "seed": SEED,
         "opt_level": OPT_LEVEL,
@@ -150,8 +123,6 @@ def main(argv=None) -> int:
         "smoke": bool(args.smoke),
         "results": rows,
         "geomean_fast_vs_reference": round(fast_geomean, 3),
-        "geomean_jit_vs_reference": round(jit_geomean, 3),
-        "geomean_jit_vs_fast": round(jit_vs_fast, 3),
     }
     with open(BENCH_JSON, "w") as handle:
         json.dump(record, handle, indent=2)
@@ -160,15 +131,13 @@ def main(argv=None) -> int:
 
     write_result(
         "bench_emulator_throughput",
-        "Emulator throughput: reference vs fast vs jit engine "
+        "Emulator throughput: reference vs fast engine "
         "(host instructions/sec)",
-        ("workload", "guest instrs", "ref ips", "fast ips", "jit ips",
-         "jit/fast"),
+        ("workload", "guest instrs", "ref ips", "fast ips", "fast/ref"),
         [(r["workload"], r["guest_instructions"], r["reference_ips"],
-          r["fast_ips"], r["jit_ips"], f'{r["jit_vs_fast"]:.2f}x')
+          r["fast_ips"], f'{r["fast_vs_reference"]:.2f}x')
          for r in rows],
-        notes=f"geomeans: fast {fast_geomean:.2f}x, jit {jit_geomean:.2f}x "
-              f"over reference ({jit_vs_fast:.2f}x over fast); all three "
+        notes=f"geomean: fast {fast_geomean:.2f}x over reference; both "
               f"engines verified bit-identical per run; seed {SEED}, "
               f"size {SIZE}")
 
@@ -176,10 +145,6 @@ def main(argv=None) -> int:
     if min_speedup is not None and fast_geomean < min_speedup:
         print(f"FAIL: fast geomean {fast_geomean:.2f}x < floor "
               f"{min_speedup:.2f}x", file=sys.stderr)
-        status = 1
-    if min_jit_speedup is not None and jit_vs_fast < min_jit_speedup:
-        print(f"FAIL: jit-vs-fast geomean {jit_vs_fast:.2f}x < floor "
-              f"{min_jit_speedup:.2f}x", file=sys.stderr)
         status = 1
     return status
 

@@ -175,20 +175,25 @@ class Image:
         """Parse a VXE byte string back into an Image."""
         if data[:4] != MAGIC:
             raise ImageError("bad magic")
-        (blob_len,) = struct.unpack_from("<I", data, 4)
-        header = json.loads(data[8:8 + blob_len].decode("utf-8"))
-        image = cls(entry=header["entry"], imports=list(header["imports"]),
-                    symbols=dict(header["symbols"]),
-                    metadata=dict(header.get("metadata", {})))
-        pos = 8 + blob_len
-        for meta in header["sections"]:
-            payload = data[pos:pos + meta["size"]]
-            if len(payload) != meta["size"]:
-                raise ImageError("truncated section payload")
-            image.add_section(meta["name"], meta["addr"], payload,
-                              executable=meta["executable"],
-                              writable=meta["writable"])
-            pos += meta["size"]
+        try:
+            (blob_len,) = struct.unpack_from("<I", data, 4)
+            header = json.loads(data[8:8 + blob_len].decode("utf-8"))
+            image = cls(entry=header["entry"],
+                        imports=list(header["imports"]),
+                        symbols=dict(header["symbols"]),
+                        metadata=dict(header.get("metadata", {})))
+            pos = 8 + blob_len
+            for meta in header["sections"]:
+                payload = data[pos:pos + meta["size"]]
+                if len(payload) != meta["size"]:
+                    raise ImageError("truncated section payload")
+                image.add_section(meta["name"], meta["addr"], payload,
+                                  executable=meta["executable"],
+                                  writable=meta["writable"])
+                pos += meta["size"]
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise ImageError(f"malformed header: "
+                             f"{type(exc).__name__}: {exc}") from exc
         return image
 
     def save(self, path) -> None:
@@ -198,6 +203,11 @@ class Image:
 
     @classmethod
     def load(cls, path) -> "Image":
-        """Read a VXE file from a path."""
+        """Read a VXE file from a path; a malformed file raises
+        :class:`ImageError` naming the path."""
         with open(path, "rb") as handle:
-            return cls.from_bytes(handle.read())
+            data = handle.read()
+        try:
+            return cls.from_bytes(data)
+        except ImageError as exc:
+            raise ImageError(f"{path}: {exc}") from exc

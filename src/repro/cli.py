@@ -34,7 +34,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .binfmt import Image
+from .binfmt import Image, ImageError
 from .core import (OPT_LEVELS, AdditiveLifting, Disassembler, ICFTTracer,
                    Lifter, Recompiler, make_library, optimize_fences,
                    run_image)
@@ -42,6 +42,7 @@ from .emulator import EmulationFault, Machine
 from .ir import format_module
 from .minicc import compile_minic
 from .observability import Tracer
+from .profile.format import ProfileError
 
 
 def _library_from_args(args) -> object:
@@ -67,13 +68,8 @@ def cmd_compile(args) -> int:
 def cmd_run(args) -> int:
     """``polynima run``: execute a VXE image on the emulator."""
     image = Image.load(args.binary)
-    jit_profile = None
-    if getattr(args, "jit_profile_in", None):
-        from .profile import Profile
-        jit_profile = Profile.load(args.jit_profile_in)
     result = run_image(image, library=_library_from_args(args),
-                       seed=args.seed, engine=args.engine,
-                       jit_profile=jit_profile)
+                       seed=args.seed, engine=args.engine)
     sys.stdout.write(result.stdout.decode("latin1"))
     if result.fault is not None:
         print(f"[fault] {result.fault}", file=sys.stderr)
@@ -379,14 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a VXE binary")
     p.add_argument("binary")
     common_run_args(p)
-    p.add_argument("--engine", choices=("fast", "reference", "jit"),
-                   default="fast",
-                   help="interpreter loop: plan-cache/superblock engine, "
-                        "the seed reference loop, or the tier-3 trace "
-                        "JIT (all bit-identical)")
-    p.add_argument("--jit-profile-in",
-                   help="profile JSON whose hot blocks pre-seed the "
-                        "tier-3 trace compiler (jit engine only)")
+    p.add_argument("--engine", choices=Machine.ENGINES, default="fast",
+                   help="interpreter loop: the plan-cache/superblock "
+                        "engine or the seed reference loop "
+                        "(bit-identical)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("disasm", help="static control-flow recovery")
@@ -462,10 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--runs", type=int, default=1,
                     help="executions to merge (run i uses seed+i; "
                          "default 1)")
-    pc.add_argument("--engine", choices=("fast", "reference", "jit"),
-                    default="fast",
+    pc.add_argument("--engine", choices=Machine.ENGINES, default="fast",
                     help="emulator engine to profile under (profiles "
-                         "from all engines are digest-identical)")
+                         "from both engines are digest-identical)")
     common_run_args(pc)
     pc.set_defaults(func=cmd_profile_collect)
 
@@ -525,9 +516,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit status."""
+    """CLI entry point; returns the process exit status.
+
+    An unreadable or malformed input file (image, profile) is a usage
+    error: one ``polynima <cmd>: <message>`` line on stderr, exit 2.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ImageError, ProfileError, OSError) as exc:
+        command = args.command
+        if command == "profile":
+            command = f"profile {args.profile_command}"
+        print(f"polynima {command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

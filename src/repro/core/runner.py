@@ -58,22 +58,18 @@ def run_image(image: Image, input_blob: bytes = b"",
               library: Optional[ExternalLibrary] = None,
               catch_faults: bool = True,
               profile_registers: bool = False,
-              sanitizer=None, engine: str = "fast",
-              jit_profile=None) -> RunResult:
+              sanitizer=None, engine: str = "fast") -> RunResult:
     """Run a VXE image under the stock environment and collect results.
 
-    ``engine`` selects the interpreter loop ("reference", "fast" or
-    "jit"); all three are bit-identical per seed, see
-    docs/PERFORMANCE.md.  ``jit_profile`` optionally seeds the tier-3
-    hotness counters from a collected :class:`repro.profile.Profile`.
+    ``engine`` selects the interpreter loop ("reference" or "fast");
+    both are bit-identical per seed, see docs/PERFORMANCE.md.
     """
     if library is None:
         library = make_library(input_blob, params, fs, net_script,
                                omp_threads)
     machine = Machine(image, library, seed=seed, cores=cores,
                       profile_registers=profile_registers,
-                      sanitizer=sanitizer, engine=engine,
-                      jit_profile=jit_profile)
+                      sanitizer=sanitizer, engine=engine)
     fault: Optional[EmulationFault] = None
     exit_code = -1
     try:

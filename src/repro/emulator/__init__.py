@@ -8,7 +8,6 @@ from .machine import (CycleLimitExceeded, EmulationFault, EXIT_ADDR,
                       HEAP_BASE, Machine, STACK_SIZE, THREAD_EXIT_ADDR,
                       ThreadContext)
 from .engine import run_fast
-from .jit import TraceJit, run_jit
 from .memory import Memory, MemoryFault
 
 __all__ = [
@@ -17,5 +16,5 @@ __all__ = [
     "CpuState", "ProfiledCpuState", "INPUT_BASE", "ExternalLibrary",
     "CycleLimitExceeded", "EmulationFault", "EXIT_ADDR", "HEAP_BASE",
     "Machine", "STACK_SIZE", "THREAD_EXIT_ADDR", "ThreadContext",
-    "Memory", "MemoryFault", "run_fast", "run_jit", "TraceJit",
+    "Memory", "MemoryFault", "run_fast",
 ]

@@ -52,9 +52,8 @@ def static_cost(instr) -> int:
 
     Base cost + bus-lock penalty for atomic RMWs + memory traffic per
     explicit memory operand.  This is the one definition shared by the
-    plan cache (``Machine._plan_at``), the reference interpreter and
-    the tier-3 trace JIT's folded cost constants — all three must
-    charge identical cycles or the engines diverge.
+    plan cache (``Machine._plan_at``) and the reference interpreter —
+    both must charge identical cycles or the engines diverge.
     """
     from ..isa.instructions import Mem
     cost = BASE_COSTS[instr.mnemonic]

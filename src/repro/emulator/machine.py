@@ -92,16 +92,13 @@ class Machine:
 
     #: Valid values for the ``engine`` constructor argument: "fast" is
     #: the two-tier plan-cache + superblock engine (repro.emulator.engine),
-    #: "jit" the three-tier engine that additionally trace-compiles hot
-    #: superblocks to Python code objects (repro.emulator.jit),
     #: "reference" the seed per-step loop kept as the determinism oracle.
-    ENGINES = ("fast", "reference", "jit")
+    ENGINES = ("fast", "reference")
 
     def __init__(self, image: Image, library=None, seed: int = 0,
                  cores: int = 4, quantum: int = 40,
                  profile_registers: bool = False,
-                 sanitizer=None, engine: str = "fast",
-                 jit_threshold: int = 16, jit_profile=None) -> None:
+                 sanitizer=None, engine: str = "fast") -> None:
         if engine not in self.ENGINES:
             raise ValueError(f"unknown engine {engine!r} "
                              f"(expected one of {self.ENGINES})")
@@ -155,13 +152,6 @@ class Machine:
         # the exact hot loop with zero extra per-step work.
         self.sanitizer = sanitizer
         self._access_plans: Dict[int, object] = {}
-        # Tier-3 trace JIT (repro.emulator.jit), created lazily on the
-        # first "jit"-engine run.  The threshold is the superblock-entry
-        # count that triggers trace compilation; a Profile seeds blocks
-        # it already knows are hot to one arrival below it.
-        self.jit_threshold = jit_threshold
-        self.jit_profile = jit_profile
-        self._jit = None
 
         for section in image.sections:
             self.memory.map(section.addr, bytes(section.data), section.name)
@@ -258,9 +248,6 @@ class Machine:
         if self.engine == "fast":
             from .engine import run_fast
             return run_fast(self, max_cycles)
-        if self.engine == "jit":
-            from .jit import run_jit
-            return run_jit(self, max_cycles)
         return self._run_reference(max_cycles)
 
     def _run_reference(self, max_cycles: int) -> int:
@@ -371,31 +358,11 @@ class Machine:
     def invalidate_decode_cache(self) -> None:
         """Drop cached decodes after code bytes change (additive lifting).
 
-        Execution plans, superblock state and compiled tier-3 traces
-        (including the image-attached shared trace cache and the
-        hotness counters that would re-trigger compilation) derive
-        from decodes, so they are dropped together with them."""
+        Execution plans and superblock state derive from decodes, so
+        they are dropped together with them."""
         self._decode_cache.clear()
         self._plans.clear()
         self._access_plans.clear()
-        if self._jit is not None:
-            self._jit.invalidate()
-        shared = getattr(self.image, "_jit_shared_traces", None)
-        if shared is not None:
-            # Another machine on the same image may have published
-            # traces there; the code bytes they specialized are gone.
-            shared.clear()
-
-    def jit_stats(self) -> Dict[str, int]:
-        """The tier-3 JIT's own ``jit.*`` counters (traces compiled,
-        trace entries, instructions retired inside traces, deopts).
-
-        Deliberately *not* part of :meth:`perf_counters`: engine
-        snapshots are asserted bit-identical across reference/fast/jit,
-        and only the jit engine has traces."""
-        if self._jit is None:
-            return {}
-        return self._jit.stats()
 
     def _plan_at(self, pc: int) -> Tuple:
         """Build (and cache) the execution plan for ``pc``.

@@ -57,28 +57,24 @@ OPERAND_KINDS = ("R", "V", "I", "M")
 CondExpr = Union[str, tuple]
 
 
-def cond_source(expr: CondExpr, fmt: str = "c.{}") -> str:
-    """Render a condition expression to Python source.
-
-    ``fmt`` formats each flag reference — ``"c.{}"`` (the default)
-    yields predicates over a CPU-like object, ``"{}"`` yields
-    predicates over bare local variables (what the tier-3 trace JIT
-    splices into generated code).  Both renderings come from the same
-    declarative expression, so every consumer — machine dispatch,
-    engine specializer, lifter, JIT — agrees by construction.
+def cond_source(expr: CondExpr) -> str:
+    """Render a condition expression to Python source: a predicate over
+    a CPU-like object ``c``.  Every consumer — machine dispatch, engine
+    specializer, lifter — derives from the same declarative expression,
+    so they agree by construction.
     """
     if isinstance(expr, str):
         if expr not in FLAG_NAMES:
             raise ValueError(f"unknown flag {expr!r}")
-        return fmt.format(expr)
+        return f"c.{expr}"
     op = expr[0]
     if op == "not":
-        return f"(not {cond_source(expr[1], fmt)})"
+        return f"(not {cond_source(expr[1])})"
     if op in ("and", "or"):
-        return f"({cond_source(expr[1], fmt)} {op} {cond_source(expr[2], fmt)})"
+        return f"({cond_source(expr[1])} {op} {cond_source(expr[2])})"
     if op in ("eq", "ne"):
         cmp = "==" if op == "eq" else "!="
-        return f"({cond_source(expr[1], fmt)} {cmp} {cond_source(expr[2], fmt)})"
+        return f"({cond_source(expr[1])} {cmp} {cond_source(expr[2])})"
     raise ValueError(f"bad condition expression {expr!r}")
 
 
@@ -91,46 +87,6 @@ def compile_cond(expr: CondExpr) -> Callable:
     """
     return eval(f"lambda c: {cond_source(expr)}",  # noqa: S307 - static source
                 {"__builtins__": {}})
-
-
-def flags_update_source(kind: str, a: str, b: str, res: str,
-                        bits: int) -> Tuple[str, ...]:
-    """Source statements updating the flag locals ``zf/sf/cf/of``.
-
-    The canonical flag semantics (``Machine._flags_add`` /
-    ``_flags_sub`` / ``_flags_logic``) rendered as straight-line
-    Python over expression strings: ``a``/``b`` are the (already
-    width-masked) inputs, ``res`` the masked result.  ``kind`` is one
-    of ``add``, ``sub``, ``logic``, ``inc``, ``dec`` (the latter two
-    leave CF untouched, as INC/DEC do on x86).  Used by the tier-3
-    trace JIT so generated code and the interpreter share one
-    definition of every flag bit.
-    """
-    sign = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    lines = []
-    if kind == "add":
-        lines.append(f"cf = {a} + {b} > {mask}")
-        lines.append(f"of = ({a} >= {sign}) == ({b} >= {sign}) "
-                     f"and ({res} >= {sign}) != ({a} >= {sign})")
-    elif kind == "sub":
-        lines.append(f"cf = {a} < {b}")
-        lines.append(f"of = ({a} >= {sign}) != ({b} >= {sign}) "
-                     f"and ({res} >= {sign}) != ({a} >= {sign})")
-    elif kind == "logic":
-        lines.append("cf = False")
-        lines.append("of = False")
-    elif kind == "inc":
-        # add with b == 1, CF preserved: OF = (sa == 0) and (sr == 1).
-        lines.append(f"of = {a} < {sign} and {res} >= {sign}")
-    elif kind == "dec":
-        # sub with b == 1, CF preserved: OF = (sa == 1) and (sr == 0).
-        lines.append(f"of = {a} >= {sign} and {res} < {sign}")
-    else:
-        raise ValueError(f"unknown flag-update kind {kind!r}")
-    lines.append(f"zf = {res} == 0")
-    lines.append(f"sf = {res} >= {sign}")
-    return tuple(lines)
 
 
 def cond_flags(expr: CondExpr) -> FrozenSet[str]:
@@ -197,12 +153,6 @@ class InstrSpec:
     #: group shared by the engine specializer and the locked-RMW
     #: translation (None elsewhere).
     alu_op: Optional[str] = None
-    #: Tier-3 trace-JIT semantics tag: names the straight-line source
-    #: emitter (``emulator/jit.py`` builds its emitter registry by
-    #: looking these tags up — no mnemonic table exists outside this
-    #: module).  None for control transfer, terminators (the trace
-    #: builder handles those structurally) and rdtls (not traced).
-    sem: Optional[str] = None
 
     # -- derived classification ------------------------------------------
 
@@ -259,50 +209,49 @@ def _jcc(name: str, cond_expr: CondExpr, cmp_pred: Optional[str],
 # MNEMONICS by opcode byte); append only, never reorder.
 
 # data movement
-_spec("mov", "RR RI RM MR MI", mem_roles=("w", "r"), perf_class="mov",
-      sem="mov")
-_spec("movsx", "RR RM", mem_roles=("w", "r"), perf_class="mov", sem="movsx")
-_spec("lea", "RM", widths=_W8, perf_class="mov", sem="lea")
+_spec("mov", "RR RI RM MR MI", mem_roles=("w", "r"), perf_class="mov")
+_spec("movsx", "RR RM", mem_roles=("w", "r"), perf_class="mov")
+_spec("lea", "RM", widths=_W8, perf_class="mov")
 _spec("push", "R I M", widths=_W8, mem_roles=("r",), mem_width=8,
-      implicit_stack="w", cost=2, perf_class="mov", sem="push")
+      implicit_stack="w", cost=2, perf_class="mov")
 _spec("pop", "R M", widths=_W8, mem_roles=("w",), mem_width=8,
-      implicit_stack="r", cost=2, perf_class="mov", sem="pop")
+      implicit_stack="r", cost=2, perf_class="mov")
 _spec("xchg", "RR RM MR", mem_roles=("rw", "rw"), lockable=True,
-      implicit_lock_mem=True, cost=2, perf_class="atomic", sem="xchg")
+      implicit_lock_mem=True, cost=2, perf_class="atomic")
 
 # integer arithmetic / logic
 _spec("add", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("rw", "r"), lockable=True, alu_op="add", sem="alu")
+      mem_roles=("rw", "r"), lockable=True, alu_op="add")
 _spec("sub", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("rw", "r"), lockable=True, alu_op="sub", sem="alu")
+      mem_roles=("rw", "r"), lockable=True, alu_op="sub")
 _spec("and", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("rw", "r"), lockable=True, alu_op="and", sem="alu")
+      mem_roles=("rw", "r"), lockable=True, alu_op="and")
 _spec("or", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("rw", "r"), lockable=True, alu_op="or", sem="alu")
+      mem_roles=("rw", "r"), lockable=True, alu_op="or")
 _spec("xor", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("rw", "r"), lockable=True, alu_op="xor", sem="alu")
+      mem_roles=("rw", "r"), lockable=True, alu_op="xor")
 _spec("shl", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("rw", "r"), sem="shl")
+      mem_roles=("rw", "r"))
 _spec("shr", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("rw", "r"), sem="shr")
+      mem_roles=("rw", "r"))
 _spec("sar", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("rw", "r"), sem="sar")
+      mem_roles=("rw", "r"))
 _spec("imul", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("rw", "r"), cost=3, sem="imul")
+      mem_roles=("rw", "r"), cost=3)
 _spec("idiv", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("rw", "r"), cost=22, sem="idiv")
+      mem_roles=("rw", "r"), cost=22)
 _spec("irem", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("rw", "r"), cost=22, sem="irem")
-_spec("neg", "R M", flags_written=_ALL_FLAGS, mem_roles=("rw",), sem="neg")
-_spec("not", "R M", mem_roles=("rw",), sem="not")
+      mem_roles=("rw", "r"), cost=22)
+_spec("neg", "R M", flags_written=_ALL_FLAGS, mem_roles=("rw",))
+_spec("not", "R M", mem_roles=("rw",))
 _spec("inc", "R M", flags_written=frozenset(("zf", "sf", "of")),
-      mem_roles=("rw",), lockable=True, sem="inc")
+      mem_roles=("rw",), lockable=True)
 _spec("dec", "R M", flags_written=frozenset(("zf", "sf", "of")),
-      mem_roles=("rw",), lockable=True, sem="dec")
+      mem_roles=("rw",), lockable=True)
 _spec("cmp", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("r", "r"), sem="cmp")
+      mem_roles=("r", "r"))
 _spec("test", "RR RI RM MR MI", flags_written=_ALL_FLAGS,
-      mem_roles=("r", "r"), sem="test")
+      mem_roles=("r", "r"))
 
 # control transfer
 _spec("jmp", "I R M", widths=_W8, branch_kind="jmp", mem_roles=("r",),
@@ -327,32 +276,31 @@ _spec("ret", "", widths=_W8, terminator_kind="ret", implicit_stack="r",
 # atomics (combined with the lock prefix) and fences
 _spec("cmpxchg", "MR MI RR RI", flags_written=_ALL_FLAGS,
       mem_roles=("rw", "r"), lockable=True, hw_rmw=True, cost=4,
-      perf_class="atomic", sem="cmpxchg")
+      perf_class="atomic")
 _spec("xadd", "MR RR", flags_written=_ALL_FLAGS, mem_roles=("rw", "r"),
-      lockable=True, hw_rmw=True, cost=2, perf_class="atomic", sem="xadd")
-_spec("mfence", "", widths=_W8, fence=True, cost=12, perf_class="fence",
-      sem="mfence")
+      lockable=True, hw_rmw=True, cost=2, perf_class="atomic")
+_spec("mfence", "", widths=_W8, fence=True, cost=12, perf_class="fence")
 
 # 128-bit SIMD
 _spec("movdq", "VV VM MV", widths=_W16, mem_roles=("w", "r"),
-      mem_width=16, simd=True, perf_class="simd", sem="movdq")
+      mem_width=16, simd=True, perf_class="simd")
 _spec("paddd", "VV VM", widths=_W16, mem_roles=("rw", "r"),
-      mem_width=16, simd=True, perf_class="simd", sem="vec_add")
+      mem_width=16, simd=True, perf_class="simd")
 _spec("psubd", "VV VM", widths=_W16, mem_roles=("rw", "r"),
-      mem_width=16, simd=True, perf_class="simd", sem="vec_sub")
+      mem_width=16, simd=True, perf_class="simd")
 _spec("pmulld", "VV VM", widths=_W16, mem_roles=("rw", "r"),
-      mem_width=16, simd=True, cost=2, perf_class="simd", sem="vec_mul")
+      mem_width=16, simd=True, cost=2, perf_class="simd")
 _spec("pxor", "VV VM", widths=_W16, mem_roles=("rw", "r"),
-      mem_width=16, simd=True, perf_class="simd", sem="vec_xor")
+      mem_width=16, simd=True, perf_class="simd")
 _spec("pextrd", "RVI", widths=_W16, mem_roles=("w", "r", "r"),
-      mem_width=8, simd=True, cost=2, perf_class="simd", sem="pextrd")
+      mem_width=8, simd=True, cost=2, perf_class="simd")
 _spec("pinsrd", "VRI", widths=_W16, mem_roles=("rw", "r", "r"),
-      mem_width=4, simd=True, cost=2, perf_class="simd", sem="pinsrd")
+      mem_width=4, simd=True, cost=2, perf_class="simd")
 _spec("pbroadcastd", "VR VM", widths=_W16, mem_roles=("w", "r"),
-      mem_width=4, simd=True, perf_class="simd", sem="pbroadcastd")
+      mem_width=4, simd=True, perf_class="simd")
 
 # misc
-_spec("nop", "", widths=_W8, perf_class="misc", sem="nop")
+_spec("nop", "", widths=_W8, perf_class="misc")
 _spec("hlt", "", widths=_W8, terminator_kind="hlt", perf_class="misc")
 _spec("ud2", "", widths=_W8, terminator_kind="ud2", perf_class="misc")
 _spec("rdtls", "R", widths=_W8, liftable=False, perf_class="misc")
@@ -401,12 +349,6 @@ def _validate() -> None:
         assert not spec.flags_read - _ALL_FLAGS, f"{ctx}: bad flags_read"
         assert not spec.flags_written - _ALL_FLAGS, \
             f"{ctx}: bad flags_written"
-        # Every liftable straight-line mnemonic must carry a JIT
-        # semantics tag; control transfer and rdtls must not.
-        straight = (spec.branch_kind is None
-                    and spec.terminator_kind is None and spec.liftable)
-        assert (spec.sem is not None) == straight, \
-            f"{ctx}: sem tag coverage mismatch"
 
 
 _validate()

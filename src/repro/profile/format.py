@@ -153,18 +153,6 @@ class Profile:
     def is_hot_block(self, addr: Optional[int]) -> bool:
         return self.block_weight(addr) >= self.hot_threshold()
 
-    def hot_blocks(self):
-        """Sorted addresses of all blocks at or above the hot cutoff.
-
-        Deterministic (sorted, count-independent order) — the tier-3
-        trace JIT seeds its hotness counters from this list so that
-        profiled-hot loops compile on their first taken branch instead
-        of re-crossing the threshold by execution.
-        """
-        cutoff = self.hot_threshold()
-        return sorted(addr for addr, count in self.block_counts.items()
-                      if count >= cutoff)
-
     def edge_probability(self, site: int, successor: int) -> float:
         """P(branch at ``site`` goes to ``successor``); 0.0 unprofiled."""
         edges = self.edge_counts.get(site)

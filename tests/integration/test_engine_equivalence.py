@@ -1,24 +1,25 @@
-"""Engine equivalence: every engine is bit-identical to the seed loop.
+"""Engine equivalence: the fast engine is bit-identical to the seed loop.
 
-The two-tier engine (repro.emulator.engine) and the tier-3 trace JIT
-(repro.emulator.jit) must consume the RNG in exactly the seed sequence
-and preempt at the same instruction boundaries, so every seeded
-interleaving — including the racy ones the sanitizer depends on —
-reproduces bit for bit.  These tests pin that invariant across Phoenix
-workloads, seeds, faults, and the opt-in layers (sanitizer, profiling,
-additive-lifting cache invalidation).
+The two-tier engine (repro.emulator.engine) must consume the RNG in
+exactly the seed sequence and preempt at the same instruction
+boundaries, so every seeded interleaving — including the racy ones the
+sanitizer depends on — reproduces bit for bit.  These tests pin that
+invariant across Phoenix workloads, seeds, faults, and the opt-in
+layers (sanitizer, profiling, additive-lifting cache invalidation and
+in-place code mutation mid-run).
 """
 
 import pytest
 
-from repro.core import run_image
+from repro.core import make_library, run_image
 from repro.emulator import Machine
+from repro.minicc import compile_minic
 from repro.sanitizers import RaceDetector
 from repro.workloads import get as get_workload
 
 WORKLOADS = ("histogram", "string_match", "linear_regression")
 SEEDS = (3, 11, 29)
-ENGINES = ("reference", "fast", "jit")
+ENGINES = ("reference", "fast")
 
 
 def _fingerprint(result):
@@ -54,9 +55,8 @@ def test_engines_bit_identical(name, seed):
 @pytest.mark.parametrize("seed", (3, 11))
 @pytest.mark.parametrize("name", ("histogram", "string_match"))
 def test_engines_bit_identical_with_sanitizer(name, seed):
-    """Sanitized machines take the hook-preserving path (the jit engine
-    single-steps rather than enter traces); interleavings and race
-    reports must not move."""
+    """Sanitized machines take the hook-preserving path; interleavings
+    and race reports must not move."""
     workload = get_workload(name)
     image = workload.compile(opt_level=3)
     runs = {}
@@ -74,9 +74,8 @@ def test_engines_bit_identical_with_sanitizer(name, seed):
 
 @pytest.mark.parametrize("name", ("histogram", "string_match"))
 def test_engines_bit_identical_with_profiling(name):
-    """Register-profiled machines deopt wholesale (the jit delegates to
-    the fast engine); counters including reg_reads/reg_writes must
-    match the reference loop."""
+    """Register-profiled machines count reg_reads/reg_writes; those
+    counters must match the reference loop too."""
     workload = get_workload(name)
     image = workload.compile(opt_level=3)
     runs = {}
@@ -92,8 +91,7 @@ def test_engines_bit_identical_with_profiling(name):
 
 def test_engines_same_fault_on_cycle_budget():
     """All engines exhaust an artificially tiny cycle budget at the
-    same emulated instant — the jit's cycle guard must deopt rather
-    than overrun."""
+    same emulated instant."""
     from repro.emulator import CycleLimitExceeded
 
     workload = get_workload("histogram")
@@ -112,24 +110,6 @@ def test_engines_same_fault_on_cycle_budget():
             f"{engine} hit the cycle budget at a different instant"
 
 
-def test_jit_profile_seeding_bit_identical():
-    """Seeding tier-3 hotness from a collected profile changes *when*
-    traces compile, never *what* the machine computes."""
-    from repro.profile import ProfileCollector
-
-    workload = get_workload("histogram")
-    image = workload.compile(opt_level=3)
-    profile = ProfileCollector(image).collect(
-        lambda _item: workload.library("small"), inputs=[None], seed=9)
-
-    reference = run_image(image, library=workload.library("small"),
-                          seed=9, engine="reference")
-    seeded = run_image(image, library=workload.library("small"),
-                       seed=9, engine="jit", jit_profile=profile)
-    assert reference.fault is None and seeded.fault is None
-    assert _fingerprint(seeded) == _fingerprint(reference)
-
-
 def test_plan_cache_dropped_with_decode_cache():
     """invalidate_decode_cache() must drop execution plans too —
     additive lifting patches code bytes in place."""
@@ -144,21 +124,68 @@ def test_plan_cache_dropped_with_decode_cache():
     assert not machine._access_plans
 
 
-def test_traces_dropped_with_decode_cache():
-    """invalidate_decode_cache() on a jit machine must also drop the
-    compiled traces, the hotness counters and the image-attached
-    shared trace cache."""
-    workload = get_workload("histogram")
-    image = workload.compile(opt_level=3)
-    machine = Machine(image, workload.library("small"), seed=1,
-                      engine="jit")
+MUTATING_TEMPLATE = r'''
+int main() {
+  int total;
+  int round;
+  total = 0;
+  for (round = 0; round < 2; round += 1) {
+    int acc;
+    int i;
+    acc = 0;
+    for (i = 0; i < 400; i += 1) {
+      acc += ADDEND;
+    }
+    total += acc;
+    patch(round);
+  }
+  printf("total=%d\n", total);
+  return 0;
+}
+'''
+
+
+def _mutating_run(engine):
+    """Run the ADDEND=2 program whose ``patch(0)`` call rewrites the
+    loop body to ADDEND=5 in place, then invalidates."""
+    image = compile_minic(MUTATING_TEMPLATE.replace("ADDEND", "2"),
+                          opt_level=2)
+    patched = compile_minic(MUTATING_TEMPLATE.replace("ADDEND", "5"),
+                            opt_level=2)
+    old = image.section(".text")
+    new = patched.section(".text")
+    assert len(old.data) == len(new.data), \
+        "variants must be layout-identical for an in-place patch"
+    assert bytes(old.data) != bytes(new.data)
+
+    def patch(machine, thread, args):
+        if args[0] == 0:
+            machine.image.section(".text").data[:] = new.data
+            machine.invalidate_decode_cache()
+        return 0
+
+    library = make_library()
+    library.register("patch", patch)
+    machine = Machine(image, library, seed=0, engine=engine)
     machine.run()
-    stats = machine.jit_stats()
-    assert stats["jit.traces"] > 0, "jit run should have compiled traces"
-    machine.invalidate_decode_cache()
-    assert machine.jit_stats()["jit.traces"] == 0
-    assert not machine._jit.heat
-    assert not getattr(image, "_jit_shared_traces")
+    return machine
+
+
+def test_mutation_bit_identical_across_engines():
+    """Code patched mid-run must be re-decoded after
+    invalidate_decode_cache(): round 1 runs the new bytes
+    (400*2 + 400*5) on every engine, bit-identically."""
+    fingerprints = {}
+    for engine in ENGINES:
+        machine = _mutating_run(engine)
+        fingerprints[engine] = (
+            bytes(machine.stdout), machine.exit_code,
+            machine.total_cycles, machine.wall_cycles,
+            machine.perf_counters().snapshot())
+    assert fingerprints["reference"][0] == b"total=2800\n"
+    for engine in ENGINES[1:]:
+        assert fingerprints[engine] == fingerprints["reference"], \
+            f"{engine} diverged from reference after a code mutation"
 
 
 def test_unsanitized_machine_keeps_class_step():

@@ -254,6 +254,9 @@ class TestConcurrentPublish:
         payload = IMAGE * 256
         writer_cache = ArtifactCache(root)
         digest = writer_cache.digest(payload, **OPTIONS)
+        # Publish once up front: the reader's polls could otherwise all
+        # finish before any writer thread's first rename lands.
+        writer_cache.put(digest, payload)
         stop = threading.Event()
 
         def write_loop():

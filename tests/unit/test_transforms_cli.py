@@ -201,3 +201,55 @@ class TestCLI:
         assert "additive lifting" in capsys.readouterr().out
         assert main(["run", str(out), "--param", "1"]) == 0
         assert "21" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "recompile", "stats",
+                                         "tsan"])
+    def test_bad_image_is_one_line_usage_error(self, tmp_path, capsys,
+                                               command):
+        from repro.cli import main
+        bogus = tmp_path / "notes.txt"
+        bogus.write_text("not a VXE image\n")
+        argv = [command, str(bogus)]
+        if command == "recompile":
+            argv += ["-o", str(tmp_path / "out.vxe")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"polynima {command}: ") \
+            and err.count("\n") == 1, err
+        assert "bad magic" in err
+
+    def test_truncated_image_is_one_line_usage_error(self, tmp_path,
+                                                     capsys):
+        from repro.cli import main
+        prog = tmp_path / "prog.vxe"
+        main(["compile", str(self._write_source(tmp_path)), "-o",
+              str(prog)])
+        prog.write_bytes(prog.read_bytes()[:40])
+        capsys.readouterr()
+        assert main(["run", str(prog)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"polynima run: {prog}: malformed header") \
+            and err.count("\n") == 1, err
+
+    def test_missing_image_is_one_line_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+        assert main(["run", str(tmp_path / "missing.vxe")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("polynima run: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", ['{"truncated": ',
+                                         '{"format": "other"}'],
+                             ids=["bad-json", "wrong-format"])
+    @pytest.mark.parametrize("subcommand", ["show", "merge"])
+    def test_bad_profile_is_one_line_usage_error(self, tmp_path, capsys,
+                                                 subcommand, content):
+        from repro.cli import main
+        bogus = tmp_path / "prof.json"
+        bogus.write_text(content)
+        argv = ["profile", subcommand, str(bogus)]
+        if subcommand == "merge":
+            argv += [str(bogus), "-o", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"polynima profile {subcommand}: ") \
+            and err.count("\n") == 1, err
