@@ -19,6 +19,7 @@ import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..binfmt import IMPORT_STUB_BASE, Image
+from ..intmath import trunc_divmod
 from ..isa import decode
 from ..isa.instructions import Imm, Instruction, Mem
 from ..isa.registers import Reg
@@ -720,8 +721,7 @@ class Machine:
             if sb == 0:
                 raise EmulationFault("divide by zero", thread.cpu.pc,
                                      thread.tid)
-            quot = int(sa / sb)          # C-style truncation
-            rem = sa - quot * sb
+            quot, rem = trunc_divmod(sa, sb)
             result = (rem if want_rem else quot) & ((1 << bits) - 1)
             self._set_zs(cpu, result, w)
             cpu.cf = cpu.of = False

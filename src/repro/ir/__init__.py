@@ -9,8 +9,9 @@ on a TSO target, matching §3.3.4 of the paper).
 
 from .analysis import (Loop, back_edge_loops, dominance_frontiers,
                        dominates, dominators, natural_loops, predecessors,
-                       reachable_blocks, replace_all_uses,
-                       reverse_postorder, users_map)
+                       reachable_blocks, replace_all_uses, replace_uses,
+                       resolve, resolve_operands, reverse_postorder,
+                       users_map)
 from .builder import IRBuilder
 from .function import Block, Function, Module
 from .instructions import (Alloca, AtomicRMW, BINOPS, BinOp, Br, Call, Cast,
@@ -26,7 +27,8 @@ from .verifier import VerificationError, verify_function, verify_module
 __all__ = [
     "Loop", "back_edge_loops", "dominance_frontiers", "dominates", "dominators",
     "natural_loops", "predecessors", "reachable_blocks", "replace_all_uses",
-    "reverse_postorder", "users_map",
+    "replace_uses", "resolve", "resolve_operands", "reverse_postorder",
+    "users_map",
     "IRBuilder", "Block", "Function", "Module",
     "Alloca", "AtomicRMW", "BINOPS", "BinOp", "Br", "Call", "Cast",
     "Cmpxchg", "CompilerBarrier", "CondBr", "Fence", "ICmp", "ICMP_PREDS",

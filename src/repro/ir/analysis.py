@@ -7,10 +7,10 @@ passes recompute them after mutating the CFG.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from .function import Block, Function
-from .instructions import Instruction, Phi
+from .instructions import Instruction
 from .values import Value
 
 
@@ -231,12 +231,82 @@ def users_map(fn: Function) -> Dict[Value, List[Instruction]]:
     return users
 
 
+def resolve(replacements: Mapping[Value, Value], value: Value) -> Value:
+    """Follow ``value`` through a replacement chain to its final value.
+
+    A cycle stops the walk at the first value seen twice (the point
+    where the chain enters the cycle), so a value on a cycle resolves
+    to itself.
+    """
+    seen: Set[int] = set()
+    while value in replacements and id(value) not in seen:
+        seen.add(id(value))
+        value = replacements[value]
+    return value
+
+
+def resolve_operands(instr: Instruction,
+                     replacements: Mapping[Value, Value]) -> None:
+    """Rewrite one instruction's operands through ``replacements``."""
+    operands = instr.operands
+    for i, op in enumerate(operands):
+        if op in replacements:
+            operands[i] = resolve(replacements, op)
+
+
+def _resolve_keys(replacements: Mapping[Value, Value]) -> Dict[int, Value]:
+    """``resolve`` of every key, in time linear in the map: each walk
+    stops at a key already resolved and shares its answer."""
+    final: Dict[int, Value] = {}
+    for start in replacements:
+        if id(start) in final:
+            continue
+        path: List[Value] = []
+        position: Dict[int, int] = {}
+        node = start
+        while node in replacements and id(node) not in final \
+                and id(node) not in position:
+            position[id(node)] = len(path)
+            path.append(node)
+            node = replacements[node]
+        if id(node) in final:
+            target = final[id(node)]
+            cycle_at = len(path)
+        elif id(node) in position:
+            # The chain enters a cycle at ``node``: the tail resolves
+            # to it, every value on the cycle to itself.
+            target = node
+            cycle_at = position[id(node)]
+        else:
+            target = node
+            cycle_at = len(path)
+        for index, key in enumerate(path):
+            final[id(key)] = target if index < cycle_at else key
+    return final
+
+
+def replace_uses(fn: Function, replacements: Mapping[Value, Value]) -> int:
+    """Rewrite every operand of ``fn`` through ``replacements`` in one scan.
+
+    Keys are instructions; each operand becomes ``resolve(replacements,
+    op)``, so a chain ``a -> b -> c`` sends uses of ``a`` and ``b`` to
+    ``c``.  Returns the number of operands rewritten.
+    """
+    if not replacements:
+        return 0
+    lookup = _resolve_keys(replacements).get
+    count = 0
+    for block in fn.blocks:
+        for instr in block.instructions:
+            operands = instr.operands
+            for i, op in enumerate(operands):
+                new = lookup(id(op))
+                if new is not None and new is not op:
+                    operands[i] = new
+                    count += 1
+    return count
+
+
 def replace_all_uses(fn: Function, old: Value, new: Value) -> int:
     """Rewrite every use of ``old`` to ``new``; returns the use count."""
-    count = 0
-    for instr in fn.instructions():
-        for i, op in enumerate(instr.operands):
-            if op is old:
-                instr.operands[i] = new
-                count += 1
-    return count
+    return replace_uses(fn, {old: new})

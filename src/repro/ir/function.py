@@ -39,6 +39,17 @@ class Block:
         self.instructions.remove(instr)
         instr.parent = None
 
+    def remove_all(self, dead) -> None:
+        """Unlink every instruction of this block that is in ``dead``
+        (a set or dict), in one pass over the block."""
+        kept = []
+        for instr in self.instructions:
+            if instr in dead:
+                instr.parent = None
+            else:
+                kept.append(instr)
+        self.instructions[:] = kept
+
     @property
     def terminator(self) -> Optional[Instruction]:
         """The block's final control-flow instruction, or None while building."""

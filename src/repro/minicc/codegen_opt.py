@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..intmath import trunc_divmod
 from ..isa import ARG_REGS, Imm, Label, Mem, Reg, ins
 from .ast import (Assign, Binary, BlockStmt, BreakStmt, Call, CastExpr,
                   ContinueStmt, Decl, Expr, ExprStmt, ForStmt, FuncDef,
@@ -464,8 +465,8 @@ class CodegenO3(CodegenBase):
             try:
                 return {
                     "+": left + right, "-": left - right, "*": left * right,
-                    "/": int(left / right) if right else None,
-                    "%": left - int(left / right) * right if right else None,
+                    "/": trunc_divmod(left, right)[0] if right else None,
+                    "%": trunc_divmod(left, right)[1] if right else None,
                     "&": left & right, "|": left | right, "^": left ^ right,
                     "<<": left << right, ">>": left >> right,
                 }[expr.op]

@@ -22,20 +22,27 @@ Disambiguation rules (each grounded in a system invariant):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
-from ..ir import BinOp, ConstantInt, GlobalVar, Instruction, Value
+from ..ir import BinOp, ConstantInt, GlobalVar, Instruction, Value, resolve
 
 AddrKey = Tuple[str, Optional[int], int]
 
 
-def symbolic_addr(addr: Value) -> AddrKey:
-    """Canonicalise an address to (root value, constant offset)."""
+def symbolic_addr(addr: Value,
+                  replaced: Optional[Mapping[Value, Value]] = None) -> AddrKey:
+    """Canonicalise an address to (root value, constant offset).
+
+    ``replaced`` holds pending use replacements (see
+    :func:`repro.ir.replace_uses`) that the chase reads operands through.
+    """
     offset = 0
     node = addr
     for _ in range(64):     # bounded chase
         if isinstance(node, BinOp) and node.op in ("add", "sub"):
             a, b = node.operands
+            if replaced:
+                a, b = resolve(replaced, a), resolve(replaced, b)
             if isinstance(b, ConstantInt):
                 offset += b.value if node.op == "add" else -b.value
                 node = a

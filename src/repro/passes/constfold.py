@@ -9,11 +9,12 @@ form.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional
 
 from ..ir import (BinOp, Br, Cast, CondBr, ConstantInt, Function, ICmp,
-                  Instruction, Module, Phi, Select, Switch,
-                  replace_all_uses)
+                  Instruction, Module, Phi, Select, Switch, Value, replace_uses,
+                  resolve_operands)
+from ..intmath import trunc_divmod
 from .manager import Pass
 
 
@@ -37,15 +38,11 @@ def eval_binop(op: str, a: int, b: int, bits: int) -> Optional[int]:
         return _signed(ua - ub, bits)
     if op == "mul":
         return _signed(ua * ub, bits)
-    if op == "sdiv":
+    if op in ("sdiv", "srem"):
         if b == 0:
             return None
-        return _signed(int(a / b), bits)
-    if op == "srem":
-        if b == 0:
-            return None
-        quot = int(a / b)
-        return _signed(a - quot * b, bits)
+        quot, rem = trunc_divmod(a, b)
+        return _signed(quot if op == "sdiv" else rem, bits)
     if op == "and":
         return _signed(ua & ub, bits)
     if op == "or":
@@ -77,25 +74,41 @@ class ConstFold(Pass):
     name = "constfold"
 
     def run_function(self, fn: Function, module: Module) -> bool:
-        """Iterate folding over the function until a fixpoint."""
+        """Iterate folding over the function until a fixpoint.
+
+        A sweep records each fold in ``replaced`` instead of rewriting
+        the function's uses at once.  Every operand is resolved through
+        the map just before a decision reads it, so each fold sees the
+        operands an eager rewrite would have left; the map is applied
+        to the whole function once at the end of the sweep.
+        """
         changed = False
         again = True
         while again:
             again = False
+            replaced: Dict[Value, Value] = {}
             for block in fn.blocks:
-                for instr in list(block.instructions):
-                    replacement = self._simplify(instr)
+                kept: List[Instruction] = []
+                for instr in block.instructions:
+                    # Resolving the terminator here also readies it for
+                    # the CondBr/Switch checks below.
+                    if replaced:
+                        resolve_operands(instr, replaced)
+                    replacement = self._simplify(instr, replaced)
                     if replacement is not None and replacement is not instr:
                         if isinstance(replacement, Instruction) and \
                                 replacement.parent is None:
                             # A rewritten instruction takes the old
                             # one's position in the block.
-                            index = block.instructions.index(instr)
-                            block.insert(index, replacement)
-                        replace_all_uses(fn, instr, replacement)
-                        block.remove(instr)
+                            replacement.parent = block
+                            kept.append(replacement)
+                        replaced[instr] = replacement
+                        instr.parent = None
                         changed = True
                         again = True
+                    else:
+                        kept.append(instr)
+                block.instructions[:] = kept
                 term = block.terminator
                 if isinstance(term, CondBr) and \
                         isinstance(term.cond, ConstantInt):
@@ -129,9 +142,10 @@ class ConstFold(Pass):
                     block.append(Br(target))
                     changed = True
                     again = True
+            replace_uses(fn, replaced)
         return changed
 
-    def _simplify(self, instr: Instruction):
+    def _simplify(self, instr: Instruction, replaced: Dict[Value, Value]):
         if isinstance(instr, BinOp):
             a, b = instr.operands
             bits = instr.type.bits
@@ -170,7 +184,12 @@ class ConstFold(Pass):
                 return BinOp("add", a,
                              ConstantInt(-b.value, instr.type),
                              name=instr.name)
-            if instr.op == "add" and isinstance(b, ConstantInt) and                     isinstance(a, BinOp) and a.op == "add" and                     isinstance(a.operands[1], ConstantInt):
+            if instr.op == "add" and isinstance(b, ConstantInt) and \
+                    isinstance(a, BinOp) and a.op == "add":
+                if replaced:
+                    resolve_operands(a, replaced)
+                if not isinstance(a.operands[1], ConstantInt):
+                    return None
                 combined = eval_binop("add", a.operands[1].value, b.value,
                                       instr.type.bits)
                 return BinOp("add", a.operands[0],

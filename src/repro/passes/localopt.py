@@ -18,11 +18,12 @@ LLVM's basic AA recovers from lifted code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..ir import (AtomicRMW, BinOp, Call, Cast, Cmpxchg, CompilerBarrier,
                   ConstantInt, Fence, Function, ICmp, Instruction, Load,
-                  Module, Select, Store, replace_all_uses)
+                  Module, Select, Store, Value, replace_uses,
+                  resolve_operands)
 from .alias import AddrKey, access_is_stack, may_alias, symbolic_addr
 from .manager import Pass
 
@@ -42,11 +43,21 @@ class LoadElim(Pass):
     name = "loadelim"
 
     def run_function(self, fn: Function, module: Module) -> bool:
-        """Forward within each block; fences and clobbers cut the window."""
-        changed = False
+        """Forward within each block; fences and clobbers cut the window.
+
+        ``replaced`` collects the forwarded loads of the blocks already
+        visited.  A block's operands, and the address chains its
+        accesses are keyed by, are read through it, which is what
+        rewriting the function after every block would leave; the
+        function is rewritten once at the end.
+        """
+        replaced: Dict[Value, Value] = {}
         for block in fn.blocks:
+            if replaced:
+                for instr in block.instructions:
+                    resolve_operands(instr, replaced)
             available: List[_Entry] = []
-            replacements: List[Tuple[Load, object]] = []
+            forwarded: Dict[Instruction, Value] = {}
             for instr in block.instructions:
                 if isinstance(instr, (Fence, CompilerBarrier, Call,
                                       Cmpxchg, AtomicRMW)):
@@ -56,7 +67,7 @@ class LoadElim(Pass):
                     if instr.ordering is not None:
                         available = []
                         continue
-                    key = symbolic_addr(instr.addr)
+                    key = symbolic_addr(instr.addr, replaced)
                     stack = access_is_stack(instr)
                     known = None
                     for entry in available:
@@ -64,7 +75,7 @@ class LoadElim(Pass):
                             known = entry.value
                             break
                     if known is not None and known.type == instr.type:
-                        replacements.append((instr, known))
+                        forwarded[instr] = known
                     else:
                         available.append(_Entry(key, instr.width, stack,
                                                 instr))
@@ -73,7 +84,7 @@ class LoadElim(Pass):
                     if instr.ordering is not None:
                         available = []
                         continue
-                    key = symbolic_addr(instr.addr)
+                    key = symbolic_addr(instr.addr, replaced)
                     stack = access_is_stack(instr)
                     available = [
                         entry for entry in available
@@ -83,22 +94,11 @@ class LoadElim(Pass):
                     available.append(_Entry(key, instr.width, stack,
                                             instr.value))
                     continue
-            replaced: Dict[Instruction, object] = {
-                load: value for load, value in replacements}
-
-            def resolve(value):
-                seen = set()
-                while value in replaced and id(value) not in seen:
-                    seen.add(id(value))
-                    value = replaced[value]
-                return value
-
-            for load, value in replacements:
-                replace_all_uses(fn, load, resolve(value))
-                if load.parent is not None:
-                    load.parent.remove(load)
-                changed = True
-        return changed
+            if forwarded:
+                block.remove_all(forwarded)
+                replaced.update(forwarded)
+        replace_uses(fn, replaced)
+        return bool(replaced)
 
 
 class DSE(Pass):
@@ -153,26 +153,33 @@ class LocalCSE(Pass):
     name = "localcse"
 
     def run_function(self, fn: Function, module: Module) -> bool:
-        """Hash-and-replace sweep over each block."""
-        changed = False
+        """Hash-and-replace sweep over each block.
+
+        As in :class:`LoadElim`, a block's operands are read through the
+        replacements of the blocks before it and the function is
+        rewritten once at the end.
+        """
+        replaced: Dict[Value, Value] = {}
         for block in fn.blocks:
+            if replaced:
+                for instr in block.instructions:
+                    resolve_operands(instr, replaced)
             seen: Dict[tuple, Instruction] = {}
-            replacements: List[Tuple[Instruction, Instruction]] = []
+            duplicates: Dict[Instruction, Instruction] = {}
             for instr in block.instructions:
                 key = self._key(instr)
                 if key is None:
                     continue
                 prior = seen.get(key)
                 if prior is not None:
-                    replacements.append((instr, prior))
+                    duplicates[instr] = prior
                 else:
                     seen[key] = instr
-            for instr, prior in replacements:
-                replace_all_uses(fn, instr, prior)
-                if instr.parent is not None:
-                    instr.parent.remove(instr)
-                changed = True
-        return changed
+            if duplicates:
+                block.remove_all(duplicates)
+                replaced.update(duplicates)
+        replace_uses(fn, replaced)
+        return bool(replaced)
 
     @staticmethod
     def _key(instr: Instruction) -> Optional[tuple]:

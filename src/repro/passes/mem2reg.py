@@ -16,20 +16,26 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir import (Alloca, Block, ConstantInt, Function, Instruction, Load,
                   Module, Phi, Store, dominance_frontiers, dominators,
-                  predecessors, reachable_blocks, type_for_width, users_map)
+                  predecessors, reachable_blocks, replace_uses, type_for_width)
 from .manager import Pass
 
 
 def _promotable_slots(fn: Function) -> Dict[Alloca, int]:
     """Allocas whose every use is a direct full-width load/store address."""
-    users = users_map(fn)
+    allocas: List[Alloca] = []
+    users: Dict[Alloca, List[Instruction]] = {}
+    for block in fn.blocks:
+        for instr in block.instructions:
+            if isinstance(instr, Alloca):
+                allocas.append(instr)
+            for op in instr.operands:
+                if isinstance(op, Alloca):
+                    users.setdefault(op, []).append(instr)
     slots: Dict[Alloca, int] = {}
-    for instr in fn.instructions():
-        if not isinstance(instr, Alloca):
-            continue
+    for instr in allocas:
         width: Optional[int] = None
         ok = True
-        for user in users.get(instr, []):
+        for user in users.get(instr, ()):
             if isinstance(user, Load) and user.addr is instr:
                 access = user.width
             elif isinstance(user, Store) and user.addr is instr \
@@ -74,13 +80,13 @@ class Mem2Reg(Pass):
                 children[parent].append(block)
 
         # Phi placement per slot.
+        def_blocks: Dict[Alloca, Set[Block]] = {slot: set() for slot in slots}
+        for instr in fn.instructions():
+            if isinstance(instr, Store) and instr.addr in def_blocks:
+                def_blocks[instr.addr].add(instr.parent)
         phis: Dict[Tuple[Alloca, Block], Phi] = {}
         for slot, width in slots.items():
-            def_blocks: Set[Block] = set()
-            for instr in fn.instructions():
-                if isinstance(instr, Store) and instr.addr is slot:
-                    def_blocks.add(instr.parent)
-            work = list(def_blocks)
+            work = list(def_blocks[slot])
             placed: Set[Block] = set()
             while work:
                 block = work.pop()
@@ -92,7 +98,7 @@ class Mem2Reg(Pass):
                               name=f"{slot.name}.phi")
                     front.insert(0, phi)
                     phis[(slot, front)] = phi
-                    if front not in def_blocks:
+                    if front not in def_blocks[slot]:
                         work.append(front)
 
         phi_to_slot: Dict[Phi, Alloca] = {
@@ -152,24 +158,11 @@ class Mem2Reg(Pass):
                 elif isinstance(instr, Store) and instr.addr in slots:
                     to_remove.append(instr)
 
-        # Resolve replacement chains and rewrite uses.
-        def resolve(value):
-            seen = set()
-            while value in replacements and id(value) not in seen:
-                seen.add(id(value))
-                value = replacements[value]
-            return value
-
-        for instr in fn.instructions():
-            for i, op in enumerate(instr.operands):
-                instr.operands[i] = resolve(op)
-
-        for instr in to_remove:
-            if instr.parent is not None:
-                instr.parent.remove(instr)
-        for slot in slots:
-            if slot.parent is not None:
-                slot.parent.remove(slot)
+        replace_uses(fn, replacements)
+        dead = set(to_remove)
+        dead.update(slots)
+        for block in fn.blocks:
+            block.remove_all(dead)
         # Phis in unreachable blocks or with missing predecessors are left
         # to simplifycfg/DCE.
         return True

@@ -230,12 +230,10 @@ class RegPromote(Pass):
         # current boundaries.  (Partial re-runs that skip old glue are
         # unsound: new spills of stale entry values would overwrite the
         # old, correct ones.)
-        used: List[GlobalVar] = []
-        for var in promotable:
-            for instr in fn.instructions():
-                if var in instr.operands:
-                    used.append(var)
-                    break
+        operands = {id(op) for block in fn.blocks
+                    for instr in block.instructions for op in instr.operands
+                    if isinstance(op, GlobalVar)}
+        used = [var for var in promotable if id(var) in operands]
         if not used:
             return False
         used_set = set(used)

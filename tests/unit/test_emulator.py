@@ -1,6 +1,9 @@
 """Unit tests for the VX machine: memory, instruction semantics, flags,
 widths, atomics, threads, scheduling determinism."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -178,7 +181,7 @@ class TestMemoryFastPath:
 
 # -- machine harness --------------------------------------------------------------
 
-def run_asm(build, params=(), seed=0, expect_fault=False):
+def run_asm(build, params=(), seed=0, expect_fault=False, engine="fast"):
     """Assemble a program (build(asm, image)), run it, return machine."""
     image = Image()
     asm = Assembler(base=0x400000)
@@ -188,7 +191,7 @@ def run_asm(build, params=(), seed=0, expect_fault=False):
     image.add_section(".text", code.base, code.data, executable=True)
     image.entry = code.symbols["entry"]
     machine = Machine(image, ExternalLibrary(params=tuple(params)),
-                      seed=seed)
+                      seed=seed, engine=engine)
     if expect_fault:
         with pytest.raises(EmulationFault):
             machine.run()
@@ -197,13 +200,13 @@ def run_asm(build, params=(), seed=0, expect_fault=False):
     return machine
 
 
-def run_expr(instructions, seed=0):
+def run_expr(instructions, seed=0, engine="fast"):
     """Run a straight-line sequence; returns final rax."""
     def build(asm, image):
         for instr in instructions:
             asm.emit(instr)
         asm.emit(ins("ret"))
-    machine = run_asm(build)
+    machine = run_asm(build, engine=engine)
     return machine.threads[0].exit_value
 
 
@@ -233,6 +236,20 @@ class TestArithmeticSemantics:
         assert run_expr([ins("mov", R("rax"), I(-7)),
                          ins("mov", R("rcx"), I(2)),
                          ins("irem", R("rax"), R("rcx"))]) == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("engine", Machine.ENGINES)
+    @pytest.mark.parametrize("dividend,divisor", [
+        (2 ** 62 + 1, 3), (-(2 ** 62 + 1), 3), (2 ** 63 - 1, -7),
+        (-(2 ** 63), 10 ** 9 + 7)])
+    def test_wide_idiv_irem_are_exact(self, dividend, divisor, engine):
+        # Beyond 2**53 a float quotient is rounded; the emulator must not be.
+        quot = math.trunc(Fraction(dividend, divisor))
+        rem = dividend - quot * divisor
+        for op, expected in (("idiv", quot), ("irem", rem)):
+            assert run_expr([ins("mov", R("rax"), I(dividend)),
+                             ins("mov", R("rcx"), I(divisor)),
+                             ins(op, R("rax"), R("rcx"))],
+                            engine=engine) == expected % 2 ** 64
 
     def test_divide_by_zero_faults(self):
         def build(asm, image):

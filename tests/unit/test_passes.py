@@ -1,7 +1,10 @@
 """Unit tests for the optimisation passes."""
 
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ir import (Alloca, BinOp, Br, Call, CompilerBarrier, ConstantInt,
                       Fence, Function, GlobalVar, I64, ICmp, IRBuilder, Load,
@@ -43,15 +46,20 @@ class TestEvalBinop:
             wrapped -= 2 ** 64
         assert result == wrapped
 
-    @given(st.integers(-(2 ** 31), 2 ** 31 - 1),
-           st.integers(-(2 ** 31), 2 ** 31 - 1))
-    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-(2 ** 63), 2 ** 63 - 1),
+           st.integers(-(2 ** 63), 2 ** 63 - 1))
+    @example(2 ** 62 + 1, 3)
+    @example(-(2 ** 63), -1)
+    @example(2 ** 63 - 1, -(2 ** 31))
+    @settings(max_examples=200, deadline=None)
     def test_sdiv_truncates(self, a, b):
         if b == 0:
             assert eval_binop("sdiv", a, b, 64) is None
         else:
-            assert eval_binop("sdiv", a, b, 64) == int(a / b)
-            assert eval_binop("srem", a, b, 64) == a - int(a / b) * b
+            quot = math.trunc(Fraction(a, b))       # exact, toward zero
+            wrapped = (quot + 2 ** 63) % 2 ** 64 - 2 ** 63
+            assert eval_binop("sdiv", a, b, 64) == wrapped
+            assert eval_binop("srem", a, b, 64) == a - quot * b
 
     @given(st.sampled_from(["eq", "ne", "slt", "sle", "sgt", "sge",
                             "ult", "ule", "ugt", "uge"]),
