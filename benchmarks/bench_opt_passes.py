@@ -9,7 +9,8 @@ Two suites of builds, each timed cold and warm:
   the timed window, as in Table 4;
 - ``table2_slice`` -- ``hybrid_recompile`` on the 7 Table 2
   configurations the end-to-end benchmark runs (every build of each
-  job: callback discovery, fence-opt instrumented and final builds).
+  job: callback discovery for the plain jobs, the fence-opt jobs' one
+  instrumented build, and the final builds).
 
 *Cold* is the first run in a fresh interpreter; *warm* is a second run
 in the same process.  Every build's ``pass.*`` spans are summed into

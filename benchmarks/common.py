@@ -156,12 +156,25 @@ def counter_summary(run) -> Dict[str, float]:
     return {name: run.counters.get(name, 0) for name in KEY_COUNTERS}
 
 
-def normalized_runtime(workload: Workload, result, opt_level: int,
-                       size: Optional[str] = None, seed: int = 21) -> float:
-    """recompiled wall cycles / original wall cycles; asserts output
-    equivalence first (the paper validates before timing)."""
+def run_original(workload: Workload, opt_level: int,
+                 size: Optional[str] = None, seed: int = 21):
+    """The original binary's RunResult, the baseline of
+    :func:`normalized_runtime`."""
     image = workload.compile(opt_level=opt_level)
-    original = run_image(image, library=workload.library(size), seed=seed)
+    return run_image(image, library=workload.library(size), seed=seed)
+
+
+def normalized_runtime(workload: Workload, result, opt_level: int,
+                       size: Optional[str] = None, seed: int = 21,
+                       original=None) -> float:
+    """recompiled wall cycles / original wall cycles; asserts output
+    equivalence first (the paper validates before timing).
+
+    ``original``: the original binary's RunResult on the same size and
+    seed (:func:`run_original`), when the caller already has it; by
+    default the original is run here."""
+    if original is None:
+        original = run_original(workload, opt_level, size, seed)
     recompiled = run_image(result.image, library=workload.library(size),
                            seed=seed)
     assert original.ok, f"{workload.name}: original faulted {original.fault}"

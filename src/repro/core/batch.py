@@ -264,7 +264,9 @@ def hybrid_recompile(workload, opt_level: int, size: Optional[str] = None,
                      cache: Optional[ArtifactCache] = None,
                      verify: bool = False):
     """The paper's full Polynima configuration: static CFG + ICFT trace
-    + callback analysis (+ optional fence optimisation).
+    + callback analysis (+ optional fence optimisation).  With
+    ``fence_opt`` the callback analysis shares the fence optimisation's
+    instrumented build and run instead of making its own.
 
     Returns ``(result, report)`` where ``report`` is the
     :class:`~repro.core.fence_opt.FenceOptReport` when ``fence_opt``
@@ -316,19 +318,22 @@ def hybrid_recompile(workload, opt_level: int, size: Optional[str] = None,
         lambda _x: workload.library(size), inputs=[None], seed=seed)
     recompiler = Recompiler(image, tracer=tracer)
     cfg = recompiler.recover_cfg(trace=trace)
-    observed = None
-    if with_callbacks:
-        observed = discover_callbacks(
-            image, workload.library_factory(size), seed=seed,
-            cfg=cfg).observed
     report = None
     if fence_opt:
+        # One instrumented build and run records both the callback
+        # entries and the memory accesses.
         report = optimize_fences(
             image, workload.library_factory(size), seed=seed, cfg=cfg,
-            observed_callbacks=observed, manual_overrides=manual_overrides,
+            record_callbacks=with_callbacks,
+            manual_overrides=manual_overrides,
             profile=profile, counters=counters)
         result = report.result
     else:
+        observed = None
+        if with_callbacks:
+            observed = discover_callbacks(
+                image, workload.library_factory(size), seed=seed,
+                cfg=cfg).observed
         result = Recompiler(image, observed_callbacks=observed,
                             profile=profile, tracer=tracer,
                             counters=counters).recompile(cfg=cfg)

@@ -116,13 +116,6 @@ class RecoveredCFG:
 
     # -- queries -----------------------------------------------------------------
 
-    def function_of_block(self, addr: int) -> Optional[int]:
-        """The entry address of the function owning a block."""
-        for entry, fn in self.functions.items():
-            if addr in fn.blocks:
-                return entry
-        return None
-
     def total_blocks(self) -> int:
         """Block count across every function."""
         return sum(len(fn.blocks) for fn in self.functions.values())

@@ -2,21 +2,25 @@
 
 End-to-end flow:
 
-1. build an access-instrumented recompilation of the input;
+1. build an access-instrumented recompilation of the input — with
+   ``record_callbacks=True`` the same build also records external
+   entries (§3.3.3), so one build and one run per input serve both
+   dynamic analyses;
 2. run it on the provided concrete inputs, merging the recorded
-   per-site (location, access-type) observations across runs;
+   per-site (location, access-type) observations (and, with
+   ``record_callbacks``, the observed callback entries) across runs;
 3. run the spinloop detector over the lifted IR with those records;
 4. if every loop is proven non-spinning, rebuild the binary with the
    Lasagne fences removed — unlocking the memory optimisations the
    fences were pinning down; otherwise conservatively keep all fences
-   (possibly affecting performance but not correctness, §3.4.3).
+   (possibly affecting performance but not correctness, §3.4.3).  The
+   rebuild keeps wrappers only for the observed callbacks.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set
 
 from ..binfmt import Image
 from .cfg import RecoveredCFG
@@ -34,6 +38,10 @@ class FenceOptReport:
     result: RecompileResult
     access_sites_observed: int = 0
     runs: int = 0
+    #: Entries the final build kept as callbacks: the caller's
+    #: ``observed_callbacks``, or those recorded with
+    #: ``record_callbacks=True`` (``None``: every function kept).
+    observed_callbacks: Optional[Set[int]] = None
 
 
 def optimize_fences(image: Image, library_factory: Callable[[], object],
@@ -42,7 +50,8 @@ def optimize_fences(image: Image, library_factory: Callable[[], object],
                     observed_callbacks: Optional[Set[int]] = None,
                     manual_overrides: Optional[Set[int]] = None,
                     max_cycles: int = 200_000_000,
-                    profile=None, counters=None) -> FenceOptReport:
+                    profile=None, counters=None,
+                    record_callbacks: bool = False) -> FenceOptReport:
     """Run the full §3.4 pipeline and return the (possibly) optimised
     recompilation plus the analysis report.
 
@@ -54,17 +63,29 @@ def optimize_fences(image: Image, library_factory: Callable[[], object],
     recompilation only.  The instrumented build stays unguided so the
     access log (and therefore the spinloop verdicts) is identical with
     and without a profile.
+
+    ``record_callbacks``: run the callback analysis (§3.3.3) in the
+    same instrumented build instead of taking ``observed_callbacks``
+    from the caller — the entries recorded across the runs become the
+    final build's ``observed_callbacks``.
     """
+    if record_callbacks and observed_callbacks is not None:
+        raise ValueError("record_callbacks replaces observed_callbacks; "
+                         "pass one or the other")
     # 1-2. Instrumented build + concrete executions.
     instrumented = Recompiler(
-        image, instrument_accesses=True,
+        image, instrument_accesses=True, record_entries=record_callbacks,
         observed_callbacks=observed_callbacks).recompile(cfg=cfg)
     logs: List[Dict[str, dict]] = []
+    entries: Set[int] = set()
     for index in range(runs):
         run = run_image(instrumented.image, library=library_factory(),
                         seed=seed + index, max_cycles=max_cycles)
         logs.append(run.access_log)
+        entries |= run.entry_log
     access_log = merge_access_logs(logs)
+    if record_callbacks:
+        observed_callbacks = entries
 
     # 3. Spinloop detection over the lifted (fence-carrying) IR.
     detector = SpinloopDetector(instrumented.module, access_log)
@@ -73,18 +94,11 @@ def optimize_fences(image: Image, library_factory: Callable[[], object],
         report.apply_manual_overrides(manual_overrides)
 
     # 4. Rebuild without fences if safe; keep them otherwise.
-    if report.fences_removable:
-        final = Recompiler(
-            image, insert_fences=False,
-            observed_callbacks=observed_callbacks, profile=profile,
-            counters=counters).recompile(cfg=instrumented.cfg)
-        applied = True
-    else:
-        final = Recompiler(
-            image, insert_fences=True,
-            observed_callbacks=observed_callbacks, profile=profile,
-            counters=counters).recompile(cfg=instrumented.cfg)
-        applied = False
+    applied = report.fences_removable
+    final = Recompiler(
+        image, insert_fences=not applied,
+        observed_callbacks=observed_callbacks, profile=profile,
+        counters=counters).recompile(cfg=instrumented.cfg)
     return FenceOptReport(spinloops=report, applied=applied, result=final,
                           access_sites_observed=len(access_log),
-                          runs=runs)
+                          runs=runs, observed_callbacks=observed_callbacks)

@@ -16,14 +16,12 @@ speed) rather than in a tracing emulator.  This module provides:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from ..ir import (AtomicRMW, Block, Call, Cmpxchg, Function, Instruction,
-                  Load, Module, Store, VOID, const)
+from ..emulator.extlib import RT_RECORD_ACCESS
+from ..ir import (AtomicRMW, Call, Cmpxchg, Instruction, Load, Module,
+                  Store, VOID, const)
 from ..passes import Pass
-
-RT_RECORD_ACCESS = "__poly_record_access"
-RT_RECORD_ENTRY = "__poly_record_entry"
 
 
 def is_recordable(instr: Instruction) -> bool:
@@ -103,19 +101,19 @@ class AccessInstrumentation(Pass):
         changed = False
         for fn in module.functions:
             for block in fn.blocks:
-                recordables: List[Tuple[Instruction, str]] = []
+                rebuilt: List[Instruction] = []
                 for instr in block.instructions:
                     site = site_id_of(instr)
                     if site is not None:
-                        recordables.append((instr, site))
-                for instr, site in recordables:
-                    addr = instr.addr
-                    index = block.instructions.index(instr)
-                    call = Call(RT_RECORD_ACCESS,
-                                [const(_site_numeric(site)), addr],
-                                type_=VOID)
-                    call.tags.add("instrumentation")
-                    block.insert(index, call)
+                        call = Call(RT_RECORD_ACCESS,
+                                    [const(_site_numeric(site)), instr.addr],
+                                    type_=VOID)
+                        call.tags.add("instrumentation")
+                        call.parent = block
+                        rebuilt.append(call)
+                    rebuilt.append(instr)
+                if len(rebuilt) != len(block.instructions):
+                    block.instructions[:] = rebuilt
                     changed = True
         return changed
 

@@ -342,15 +342,6 @@ class FunctionLowering:
 
     # -- value storage assignment ------------------------------------------------------
 
-    def _needs_vreg(self, instr: Instruction) -> bool:
-        if isinstance(instr.type, VoidType):
-            return False
-        if isinstance(instr, Alloca):
-            return False       # materialised by lea at each use
-        if instr in self._fused_cmps:
-            return False
-        return True
-
     def _assign_vregs(self) -> None:
         for block in self.fn.blocks:
             for instr in block.instructions:

@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..binfmt import Image
 from ..emulator import EmulationFault, ExternalLibrary, Machine
+from .instrument import site_from_numeric
 
 
 @dataclass
@@ -20,7 +21,7 @@ class RunResult:
     fault: Optional[EmulationFault]
     threads: int
     #: Polynima-runtime dynamic analysis records (if any).
-    access_log: Dict[str, set] = field(default_factory=dict)
+    access_log: Dict[str, dict] = field(default_factory=dict)
     entry_log: set = field(default_factory=set)
     net_sent: List[bytes] = field(default_factory=list)
     #: Emulator perf-counter snapshot (``Machine.perf_counters()``),
@@ -86,7 +87,8 @@ def run_image(image: Image, input_blob: bytes = b"",
         instructions=machine.instructions,
         fault=fault,
         threads=len(machine.threads),
-        access_log=dict(library.poly_access_log),
+        access_log={site_from_numeric(site): record for site, record
+                    in library.poly_access_log.items()},
         entry_log=set(library.poly_entry_log),
         net_sent=[bytes(b) for b in library.net_sent],
         counters=machine.perf_counters().snapshot(),

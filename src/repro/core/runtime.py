@@ -27,6 +27,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from ..binfmt import Image
+from ..emulator.extlib import RT_RECORD_ENTRY
 from ..ir import Function, Module
 from ..isa import Assembler, Imm, Label, Mem, Reg, encode, ins
 from .lowering import FunctionLowering, TLS_REG
@@ -184,7 +185,7 @@ class RecompiledBinaryBuilder:
             asm.emit(ins("push", Reg("rax")))
             asm.emit(ins("mov", Reg("rdi"), Imm(fn.origin_addr)))
             asm.emit(ins("call",
-                         Imm(self.output.import_slot("__poly_record_entry"))))
+                         Imm(self.output.import_slot(RT_RECORD_ENTRY))))
             asm.emit(ins("pop", Reg("rax")))
             for reg in ("r9", "r8", "rcx", "rdx", "rsi", "rdi"):
                 asm.emit(ins("pop", Reg(reg)))

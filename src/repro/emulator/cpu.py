@@ -45,13 +45,6 @@ class CpuState:
         return (int(self.zf) | (int(self.sf) << 1)
                 | (int(self.cf) << 2) | (int(self.of) << 3))
 
-    def unpack_flags(self, value: int) -> None:
-        """Restore ZF/SF/CF/OF from pack_flags() output."""
-        self.zf = bool(value & 1)
-        self.sf = bool(value & 2)
-        self.cf = bool(value & 4)
-        self.of = bool(value & 8)
-
     def snapshot(self) -> dict:
         """A dict copy of the register file and flags, for tracing."""
         return {

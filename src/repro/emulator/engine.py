@@ -21,7 +21,11 @@ counter in a local variable and publishes them when the chain breaks.
 The seed loop's per-instruction runnable-thread rescan is replaced by
 the machine's incrementally maintained ``_runnable`` counter, updated
 only on thread state transitions (spawn/block/wake/done) and resynced
-for free at every ``_pick_thread``.
+for free at every ``_pick_thread``.  Calls to the library's *leaf
+intrinsics* (the dynamic analyses' ``__poly_record_*`` recorders,
+pre-resolved per import stub in ``Machine._leaf_stubs``) also stay in
+the chain: a leaf cannot change thread states, so the chain charges
+the import-stub cost and emulates the ``ret`` itself.
 
 Determinism is a hard invariant, bit for bit:
 
@@ -57,7 +61,7 @@ from ..isa.registers import Reg
 from ..isa.spec import SPEC
 from .cpu import U64
 from .machine import (CycleLimitExceeded, EmulationFault, EXIT_ADDR,
-                      THREAD_EXIT_ADDR, ThreadContext)
+                      RAX, RDI, RSI, RSP, THREAD_EXIT_ADDR, ThreadContext)
 from .memory import MemoryFault
 
 __all__ = ["run_fast", "specialize"]
@@ -115,9 +119,10 @@ def run_fast(machine, max_cycles: int) -> int:
 
 
 def _run_chain(machine, thread, budget: int, max_cycles: int) -> int:
-    """Execute planned guest instructions on ``thread`` until the
-    quantum budget runs out, an unplanned PC (magic return address or
-    import stub) is reached, the machine exits, or a fault propagates.
+    """Execute planned guest instructions and leaf-intrinsic calls on
+    ``thread`` until the quantum budget runs out, an unplanned PC (magic
+    return address or other import stub) is reached, the machine exits,
+    or a fault propagates.
 
     Returns the remaining budget.  All per-instruction counters live in
     locals for the duration of the chain and are published in the
@@ -127,6 +132,8 @@ def _run_chain(machine, thread, budget: int, max_cycles: int) -> int:
     cpu = thread.cpu
     plans = machine._plans
     plan_at = machine._plan_at
+    leaves = machine._leaf_stubs
+    memory = machine.memory
     by_class = machine.cycles_by_class
     # Planned instructions never change thread states, so the wall-clock
     # divisor is loop-invariant.  It must stay an *int* divisor: the
@@ -152,8 +159,27 @@ def _run_chain(machine, thread, budget: int, max_cycles: int) -> int:
             pc = cpu.pc
             plan = plans.get(pc)
             if plan is None:
-                if pc >= IMPORT_STUB_BASE or pc == EXIT_ADDR \
-                        or pc == THREAD_EXIT_ADDR:
+                if pc >= IMPORT_STUB_BASE:
+                    leaf = leaves.get(pc)
+                    if leaf is None:
+                        break
+                    # A leaf intrinsic: exactly _external_call's effects
+                    # in its order, minus the name lookup, dispatch and
+                    # six-register argument tuple.
+                    handler, cost = leaf
+                    result = handler(thread, cpu.get(RDI), cpu.get(RSI))
+                    t_cycles += cost
+                    total += cost
+                    by_class["external"] += cost
+                    cpu.set(RAX, result & U64)
+                    sp = cpu.get(RSP)
+                    ret = memory.read_int(sp, 8)
+                    cpu.set(RSP, sp + 8)
+                    cpu.pc = ret
+                    budget -= 1
+                    wall += cost / denom
+                    continue
+                if pc == EXIT_ADDR or pc == THREAD_EXIT_ADDR:
                     break
                 plan = plan_at(pc)
             handler, instr, size, cost, klass, atomic = plan

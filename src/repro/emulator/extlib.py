@@ -50,11 +50,15 @@ _COSTS = {
 
 _DEFAULT_COST = 20
 
+#: Leaf intrinsics of the Polynima runtime (see ``leaf_intrinsics``).
+RT_RECORD_ACCESS = "__poly_record_access"
+RT_RECORD_ENTRY = "__poly_record_entry"
+
 _COSTS.update({
     "__poly_enter": 14,
     "__poly_cf_miss": 10,
-    "__poly_record_access": 30,
-    "__poly_record_entry": 20,
+    RT_RECORD_ACCESS: 30,
+    RT_RECORD_ENTRY: 20,
 })
 
 
@@ -131,7 +135,8 @@ class ExternalLibrary:
         # stack ranges + dynamic-analysis record buffers.
         self.poly_emustacks: Dict[int, Tuple[int, int]] = {}
         self._signaled_events: set = set()
-        self.poly_access_log: Dict[str, set] = {}
+        #: Integer site id -> access record (see ``_record_access``).
+        self.poly_access_log: Dict[int, dict] = {}
         self.poly_entry_log: set = set()
         for name in dir(self):
             if name.startswith("do_"):
@@ -783,8 +788,12 @@ class ExternalLibrary:
 
     def do___poly_record_access(self, machine, thread, args):
         """Instrumentation: record one load/store site's per-thread range."""
-        encoded_site, addr = args[0], args[1]
-        site = f"{encoded_site >> 16:x}:{encoded_site & 0xFFFF}"
+        return self._record_access(thread, args[0], args[1])
+
+    def _record_access(self, thread, site, addr):
+        """Fold one access of ``site`` (the integer site id the
+        instrumentation passes; ``run_image`` decodes it) at ``addr``
+        into the access log."""
         rng = self.poly_emustacks.get(thread.tid)
         kind = "local" if rng and rng[0] <= addr < rng[1] else "shared"
         record = self.poly_access_log.get(site)
@@ -799,8 +808,28 @@ class ExternalLibrary:
 
     def do___poly_record_entry(self, machine, thread, args):
         """Callback analysis: record an external-visible entry invocation."""
-        self.poly_entry_log.add(args[0])
+        return self._record_entry(thread, args[0], args[1])
+
+    def _record_entry(self, thread, entry, _unused):
+        self.poly_entry_log.add(entry)
         return 0
+
+    def leaf_intrinsics(self) -> Dict[str, Tuple[Callable, int]]:
+        """Import name -> ``(handler(thread, rdi, rsi), cost)`` for the
+        runtime calls the fast engine may run inline.
+
+        A leaf intrinsic never blocks, wakes, spawns, exits, calls back
+        into guest code or adds extra cost, so the import-stub path's
+        only effects are the handler's and the fixed cost.  A name whose
+        handler was replaced (``register`` or a subclass) is left out
+        and keeps the import-stub path."""
+        leaves = {}
+        for name, handler in ((RT_RECORD_ACCESS, self._record_access),
+                              (RT_RECORD_ENTRY, self._record_entry)):
+            stock = ExternalLibrary.__dict__["do_" + name]
+            if getattr(self._handlers.get(name), "__func__", None) is stock:
+                leaves[name] = (handler, _COSTS[name])
+        return leaves
 
     # -- scripted network -------------------------------------------------------------
 

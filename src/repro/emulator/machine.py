@@ -163,6 +163,17 @@ class Machine:
             library = ExternalLibrary()
         self.library = library
         library.attach(self)
+        # Import stub -> (handler, total cost) of the library's leaf
+        # intrinsics, which the fast engine's chain runs inline instead
+        # of leaving for _external_call (see repro.emulator.engine).
+        # Register profiling counts the import path's six argument
+        # reads, so a profiled machine keeps that path for every call.
+        self._leaf_stubs: Dict[int, Tuple[Callable, int]] = {}
+        if not profile_registers:
+            for name, (handler, cost) in library.leaf_intrinsics().items():
+                if name in image.imports:
+                    self._leaf_stubs[image.import_slot(name)] = (
+                        handler, EXTERNAL_CALL_COST + cost)
 
         if sanitizer is not None:
             sanitizer.attach(self)

@@ -151,13 +151,6 @@ class Module:
         self.functions.append(fn)
         return fn
 
-    def get_function(self, name: str) -> Optional[Function]:
-        """Look a function up by name, or None."""
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        return None
-
     def add_global(self, var: GlobalVar) -> GlobalVar:
         """Attach a global variable to the module."""
         self.globals.append(var)

@@ -58,14 +58,6 @@ class Instruction(Value):
         """True if the instruction may mutate memory."""
         return isinstance(self, (Store, Cmpxchg, AtomicRMW, Call))
 
-    @property
-    def is_memory_barrier(self) -> bool:
-        """True if the optimiser must not move memory accesses across."""
-        if isinstance(self, (Fence, CompilerBarrier, Call)):
-            return True
-        ordering = getattr(self, "ordering", None)
-        return ordering is not None and ordering != "monotonic"
-
     def replace_operand(self, old: Value, new: Value) -> None:
         """Swap one operand value for another, in place."""
         for i, op in enumerate(self.operands):

@@ -202,6 +202,49 @@ int main() {
 }
 '''
 
+    SPINLOCK = PTHREAD_ONLY.replace(
+        "pthread_mutex_lock(&m);",
+        "while (__sync_lock_test_and_set(&m, 1)) { }").replace(
+        "pthread_mutex_unlock(&m);", "__sync_lock_release(&m);").replace(
+        "pthread_mutex_init(&m, 0);", "")
+
+    @pytest.mark.parametrize("source, opt, applied",
+                             [("PTHREAD_ONLY", 0, True),
+                              ("SPINLOCK", 3, False)])
+    def test_fused_analysis_matches_separate_builds(self, source, opt,
+                                                    applied):
+        """One instrumented build recording entries and accesses gives
+        what the callback build plus the access build gave.  Loop
+        header labels are left out: inlined loop copies are named by
+        the inliner, which the callback-pruned build runs differently."""
+        image = compile_minic(getattr(self, source), opt_level=opt)
+        cfg = Recompiler(image).recover_cfg()
+        observed = discover_callbacks(image, make_library, seed=2,
+                                      cfg=cfg).observed
+        separate = optimize_fences(image, make_library, seed=2, cfg=cfg,
+                                   observed_callbacks=observed)
+        fused = optimize_fences(image, make_library, seed=2, cfg=cfg,
+                                record_callbacks=True)
+
+        def verdicts(report):
+            return sorted((v.function, v.verdict, v.origin_addrs)
+                          for v in report.spinloops.verdicts)
+
+        assert fused.observed_callbacks == observed
+        assert fused.applied == separate.applied == applied
+        assert verdicts(fused) == verdicts(separate)
+        assert verdicts(fused)
+        assert fused.access_sites_observed == \
+            separate.access_sites_observed
+        assert fused.result.image.to_bytes() == \
+            separate.result.image.to_bytes()
+
+    def test_record_callbacks_excludes_observed_callbacks(self):
+        image = compile_minic(self.PTHREAD_ONLY, opt_level=0)
+        with pytest.raises(ValueError):
+            optimize_fences(image, make_library, observed_callbacks=set(),
+                            record_callbacks=True)
+
     def test_applied_for_pthread_only_program(self):
         image = compile_minic(self.PTHREAD_ONLY, opt_level=0)
         report = optimize_fences(image, make_library, seed=2)
