@@ -22,7 +22,7 @@ import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..binfmt import Image
-from ..core.cfg import BlockInfo, FunctionCFG, RecoveredCFG
+from ..core.cfg import RecoveredCFG
 from ..core.disassembler import Disassembler
 from ..core.recompiler import Recompiler
 from ..core.translator import BlockTranslator

@@ -23,7 +23,7 @@ its fence insertion — the strategy Polynima adopts).
 from __future__ import annotations
 
 import time
-from typing import Optional, Set
+from typing import Optional
 
 from ..binfmt import Image
 from ..core.cfg import RecoveredCFG

@@ -3,8 +3,8 @@
 A VXE image is the moral equivalent of a small static ELF executable:
 named sections mapped at fixed virtual addresses, an entry point, an
 import table naming external library functions, and an optional symbol
-table.  Images serialise to bytes so recompilation projects can store
-inputs and outputs on disk, and so the "no relocation information"
+table.  Images serialise to bytes so the artifact cache and batch jobs can
+store inputs and outputs on disk, and so the "no relocation information"
 property of the paper's target binaries holds: sections are mapped at
 their original load addresses and code/data pointers are absolute.
 

@@ -27,7 +27,6 @@ from .icft_tracer import ICFTTracer, TraceResult
 from .instrument import (AccessInstrumentation, assign_site_ids,
                          merge_access_logs, site_id_of, tag_sites)
 from .lifter import Lifter, LiftError
-from .project import ProjectError, RecompilationProject
 from .lowering import FunctionLowering, LoweringError
 from .recompiler import RecompileResult, RecompileStats, Recompiler
 from .runner import (DifferentialRaceReport, RunResult,
@@ -58,7 +57,6 @@ __all__ = [
     "AccessInstrumentation", "assign_site_ids", "merge_access_logs",
     "site_id_of", "tag_sites",
     "Lifter", "LiftError",
-    "ProjectError", "RecompilationProject",
     "FunctionLowering", "LoweringError",
     "RecompileResult", "RecompileStats", "Recompiler",
     "DifferentialRaceReport", "RunResult", "differential_race_check",

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from ..binfmt import Image
 from ..emulator.extlib import ControlFlowMiss
 from .cfg import RecoveredCFG
 from .recompiler import RecompileResult, Recompiler

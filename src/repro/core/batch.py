@@ -264,9 +264,10 @@ def hybrid_recompile(workload, opt_level: int, size: Optional[str] = None,
                      cache: Optional[ArtifactCache] = None,
                      verify: bool = False):
     """The paper's full Polynima configuration: static CFG + ICFT trace
-    + callback analysis (+ optional fence optimisation).  With
-    ``fence_opt`` the callback analysis shares the fence optimisation's
-    instrumented build and run instead of making its own.
+    + callback analysis (+ optional fence optimisation).  One run of the
+    original serves the ICFT trace and the callback analysis
+    (:attr:`TraceResult.entries`); only fence optimisation builds and
+    runs an instrumented recompilation.
 
     Returns ``(result, report)`` where ``report`` is the
     :class:`~repro.core.fence_opt.FenceOptReport` when ``fence_opt``
@@ -282,7 +283,6 @@ def hybrid_recompile(workload, opt_level: int, size: Optional[str] = None,
     ``verify=True`` to recompile fresh on every hit and raise
     :class:`BatchError` unless the bytes match bit-for-bit.
     """
-    from .callbacks import discover_callbacks
     from .fence_opt import optimize_fences
     from .icft_tracer import ICFTTracer
 
@@ -314,26 +314,20 @@ def hybrid_recompile(workload, opt_level: int, size: Optional[str] = None,
                 digest=digest, meta=hit.meta)
             return result, None
 
+    # The trace run of the original also records the callback entries.
     trace = ICFTTracer(image).trace(
         lambda _x: workload.library(size), inputs=[None], seed=seed)
     recompiler = Recompiler(image, tracer=tracer)
     cfg = recompiler.recover_cfg(trace=trace)
+    observed = trace.entries if with_callbacks else None
     report = None
     if fence_opt:
-        # One instrumented build and run records both the callback
-        # entries and the memory accesses.
         report = optimize_fences(
             image, workload.library_factory(size), seed=seed, cfg=cfg,
-            record_callbacks=with_callbacks,
-            manual_overrides=manual_overrides,
+            observed_callbacks=observed, manual_overrides=manual_overrides,
             profile=profile, counters=counters)
         result = report.result
     else:
-        observed = None
-        if with_callbacks:
-            observed = discover_callbacks(
-                image, workload.library_factory(size), seed=seed,
-                cfg=cfg).observed
         result = Recompiler(image, observed_callbacks=observed,
                             profile=profile, tracer=tracer,
                             counters=counters).recompile(cfg=cfg)

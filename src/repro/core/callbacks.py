@@ -6,23 +6,23 @@ external entry point (its address could reach ``qsort``,
 a wrapper + trampoline and is pinned externally visible — blocking
 inlining and interprocedural optimisation.
 
-This analysis builds an instrumented recompilation whose wrappers
-record the functions actually *entered from external context*, runs it
-on a set of inputs, and merges the observations.  A production rebuild
-then keeps wrappers only for observed entry points, unlocking the
-optimiser for everything else.
+This analysis runs the *original* binary on a set of inputs, records
+the functions the library actually entered (the emulator notes every
+thread start routine and guest callback, plus the program entry), and
+merges the observations.  That run is the ICFT trace run (§3.2), so
+:func:`~repro.core.batch.hybrid_recompile` takes the callback set from
+the trace it already made (:attr:`TraceResult.entries`).  A production
+rebuild then keeps wrappers only for observed entry points, unlocking
+the optimiser for everything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Set
 
 from ..binfmt import Image
-from ..emulator import EmulationFault
-from .cfg import RecoveredCFG
-from .recompiler import RecompileResult, Recompiler
-from .runner import run_image
+from .icft_tracer import ICFTTracer
 
 
 @dataclass
@@ -31,16 +31,9 @@ class CallbackReport:
     observed: Set[int] = field(default_factory=set)
     runs: int = 0
 
-    def merge_run(self, entry_log: Set[int]) -> None:
-        """Fold one instrumented run's entry log into the report."""
-        self.observed |= set(entry_log)
-        self.runs += 1
-
 
 def discover_callbacks(image: Image, library_factory: Callable[[], object],
                        runs: int = 1, seed: int = 0,
-                       cfg: Optional[RecoveredCFG] = None,
-                       atomic_mode: str = "builtin",
                        max_cycles: int = 200_000_000) -> CallbackReport:
     """Record which functions act as external entry points.
 
@@ -48,12 +41,7 @@ def discover_callbacks(image: Image, library_factory: Callable[[], object],
     results across runs are merged (§3.3.3: "We merge information
     collected across different runs").
     """
-    recompiler = Recompiler(image, atomic_mode=atomic_mode,
-                            record_entries=True)
-    result = recompiler.recompile(cfg=cfg)
-    report = CallbackReport()
-    for index in range(runs):
-        run = run_image(result.image, library=library_factory(),
-                        seed=seed + index, max_cycles=max_cycles)
-        report.merge_run(run.entry_log)
-    return report
+    trace = ICFTTracer(image).trace(lambda _item: library_factory(),
+                                    inputs=[None] * runs, seed=seed,
+                                    max_cycles=max_cycles)
+    return CallbackReport(observed=trace.entries, runs=trace.runs)

@@ -2,19 +2,19 @@
 
 End-to-end flow:
 
-1. build an access-instrumented recompilation of the input — with
-   ``record_callbacks=True`` the same build also records external
-   entries (§3.3.3), so one build and one run per input serve both
-   dynamic analyses;
+1. build an access-instrumented recompilation of the input;
 2. run it on the provided concrete inputs, merging the recorded
-   per-site (location, access-type) observations (and, with
-   ``record_callbacks``, the observed callback entries) across runs;
+   per-site (location, access-type) observations across runs;
 3. run the spinloop detector over the lifted IR with those records;
 4. if every loop is proven non-spinning, rebuild the binary with the
    Lasagne fences removed — unlocking the memory optimisations the
    fences were pinning down; otherwise conservatively keep all fences
    (possibly affecting performance but not correctness, §3.4.3).  The
-   rebuild keeps wrappers only for the observed callbacks.
+   rebuild keeps wrappers only for the ``observed_callbacks``.
+
+Unlike the ICFT trace and the callback analysis, which run the original
+binary, this analysis runs on *recompiled output*: the instrumented
+build is the only one of a hybrid job's analyses that needs a build.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class FenceOptReport:
     result: RecompileResult
     access_sites_observed: int = 0
     runs: int = 0
-    #: Entries the final build kept as callbacks: the caller's
-    #: ``observed_callbacks``, or those recorded with
-    #: ``record_callbacks=True`` (``None``: every function kept).
-    observed_callbacks: Optional[Set[int]] = None
 
 
 def optimize_fences(image: Image, library_factory: Callable[[], object],
@@ -50,8 +46,7 @@ def optimize_fences(image: Image, library_factory: Callable[[], object],
                     observed_callbacks: Optional[Set[int]] = None,
                     manual_overrides: Optional[Set[int]] = None,
                     max_cycles: int = 200_000_000,
-                    profile=None, counters=None,
-                    record_callbacks: bool = False) -> FenceOptReport:
+                    profile=None, counters=None) -> FenceOptReport:
     """Run the full §3.4 pipeline and return the (possibly) optimised
     recompilation plus the analysis report.
 
@@ -64,28 +59,19 @@ def optimize_fences(image: Image, library_factory: Callable[[], object],
     access log (and therefore the spinloop verdicts) is identical with
     and without a profile.
 
-    ``record_callbacks``: run the callback analysis (§3.3.3) in the
-    same instrumented build instead of taking ``observed_callbacks``
-    from the caller — the entries recorded across the runs become the
-    final build's ``observed_callbacks``.
+    ``observed_callbacks`` prunes the *final* recompilation only.  The
+    instrumented build keeps every wrapper, so its inlining, and with it
+    the spinloop detector's input, does not depend on the callback set.
     """
-    if record_callbacks and observed_callbacks is not None:
-        raise ValueError("record_callbacks replaces observed_callbacks; "
-                         "pass one or the other")
     # 1-2. Instrumented build + concrete executions.
     instrumented = Recompiler(
-        image, instrument_accesses=True, record_entries=record_callbacks,
-        observed_callbacks=observed_callbacks).recompile(cfg=cfg)
+        image, instrument_accesses=True).recompile(cfg=cfg)
     logs: List[Dict[str, dict]] = []
-    entries: Set[int] = set()
     for index in range(runs):
         run = run_image(instrumented.image, library=library_factory(),
                         seed=seed + index, max_cycles=max_cycles)
         logs.append(run.access_log)
-        entries |= run.entry_log
     access_log = merge_access_logs(logs)
-    if record_callbacks:
-        observed_callbacks = entries
 
     # 3. Spinloop detection over the lifted (fence-carrying) IR.
     detector = SpinloopDetector(instrumented.module, access_log)
@@ -100,5 +86,4 @@ def optimize_fences(image: Image, library_factory: Callable[[], object],
         observed_callbacks=observed_callbacks, profile=profile,
         counters=counters).recompile(cfg=instrumented.cfg)
     return FenceOptReport(spinloops=report, applied=applied, result=final,
-                          access_sites_observed=len(access_log),
-                          runs=runs, observed_callbacks=observed_callbacks)
+                          access_sites_observed=len(access_log), runs=runs)

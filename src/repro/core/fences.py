@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import List
 
-from ..ir import (AtomicRMW, Block, Call, Cmpxchg, CompilerBarrier, Fence,
-                  Function, Instruction, Load, Module, Store)
+from ..ir import (AtomicRMW, Call, Cmpxchg, CompilerBarrier, Fence, Function,
+                  Instruction, Load, Module, Store)
 from ..passes import Pass
 
 

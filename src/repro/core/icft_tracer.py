@@ -7,13 +7,18 @@ Results from multiple runs are merged and used to augment the
 statically recovered CFG before lifting, which is what makes the hybrid
 approach cheap: tracing costs one plain emulated execution per input,
 not a full-system-emulator lift.
+
+The same run also yields the callback analysis (§3.3.3): every guest
+function the library entered (program entry, thread start routines,
+OpenMP outlined bodies, ``qsort`` comparators) is recorded by the
+machine itself and kept as :attr:`TraceResult.entries`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Set
 
 from ..binfmt import Image
 from ..emulator import EmulationFault, ExternalLibrary, Machine
@@ -33,6 +38,9 @@ class TraceResult:
     #: site -> {target: count}, for indirect jumps and calls separately.
     jump_targets: Dict[int, Dict[int, int]] = field(default_factory=dict)
     call_targets: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    #: Guest functions entered from external context
+    #: (``Machine.external_entries``): the observed callbacks.
+    entries: Set[int] = field(default_factory=set)
     runs: int = 0
     instructions: int = 0
     wall_seconds: float = 0.0
@@ -47,6 +55,7 @@ class TraceResult:
             table = self.call_targets.setdefault(site, {})
             for target, count in targets.items():
                 table[target] = table.get(target, 0) + count
+        self.entries |= other.entries
         self.runs += other.runs
         self.instructions += other.instructions
         self.wall_seconds += other.wall_seconds
@@ -111,5 +120,6 @@ class ICFTTracer:
             pass
         result.wall_seconds = time.perf_counter() - started
         result.instructions = machine.instructions
+        result.entries = set(machine.external_entries)
         result.runs = 1
         return result

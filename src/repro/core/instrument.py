@@ -1,7 +1,9 @@
-"""Dynamic-analysis instrumentation over the lifted IR (§3.4.2, §3.3.3).
+"""Dynamic-analysis instrumentation over the lifted IR (§3.4.2).
 
-Polynima's dynamic analyses run on *recompiled output* (cheap, native
-speed) rather than in a tracing emulator.  This module provides:
+The fence optimisation's access recording runs on *recompiled output*
+(cheap, native speed) rather than in a tracing emulator; the ICFT trace
+and the callback analysis need no build and run the original binary
+(:mod:`repro.core.icft_tracer`).  This module provides:
 
 * stable **site identifiers** for original-program memory accesses —
   ``"<block origin addr hex>:<ordinal>"`` — identical across

@@ -27,7 +27,7 @@ from ..ir import (Block, Function, GlobalVar, IRBuilder, Module, VOID,
 from ..isa import Imm, Instruction, Mem, Reg
 from .cfg import BlockInfo, FunctionCFG, RecoveredCFG
 from .disassembler import Disassembler
-from .translator import BlockTranslator, TranslationError
+from .translator import BlockTranslator
 from .vstate import VirtualState
 
 #: Import names of the Polynima runtime linked into recompiled output.

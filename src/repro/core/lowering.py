@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..ir import (Alloca, Argument, AtomicRMW, BinOp, Block, Br, Call, Cast,
-                  Cmpxchg, CompilerBarrier, CondBr, ConstantInt, Fence,
-                  Function, GlobalVar, ICmp, Instruction, Load, Module, Phi,
-                  Ret, Select, Store, Switch, Unreachable, VoidType,
-                  users_map)
+from ..ir import (Alloca, AtomicRMW, BinOp, Block, Br, Call, Cast, Cmpxchg,
+                  CompilerBarrier, CondBr, ConstantInt, Fence, Function,
+                  GlobalVar, ICmp, Instruction, Load, Module, Phi, Ret, Select,
+                  Store, Switch, Unreachable, VoidType, users_map)
 from ..ir import predecessors as ir_predecessors
 from ..isa import ARG_REGS, Assembler, Imm, Label, Mem, Reg, ins
 from ..isa.spec import SPEC

@@ -13,18 +13,17 @@ ergonomic access to the stage timings and size counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, Optional, Set
 
 from ..binfmt import Image
 from ..ir import Module
 from ..observability import Counters, Tracer
-from ..passes import Inliner, PassManager, standard_pipeline
+from ..passes import Inliner, standard_pipeline
 from .cfg import RecoveredCFG
 from .disassembler import Disassembler
-from .fences import FenceInsertion, FenceMerge, count_fences, \
-    remove_lasagne_fences
-from .icft_tracer import ICFTTracer, TraceResult
+from .fences import FenceInsertion, FenceMerge, count_fences
+from .icft_tracer import TraceResult
 from .instrument import AccessInstrumentation, tag_sites
 from .lifter import Lifter
 from .runtime import RecompiledBinaryBuilder
@@ -124,7 +123,6 @@ class Recompiler:
       lose their wrappers/trampolines (§3.3.3);
     * ``instrument_accesses``: build the memory-access-recording
       variant used by the fence optimisation's dynamic analysis;
-    * ``record_entries``: build the callback-recording variant;
     * ``lazy_flags`` / ``fence_stack_exemption``: ablation toggles for
       the compare-fusion and emulated-stack fence exemptions;
     * ``profile``: an execution :class:`repro.profile.Profile` of the
@@ -144,7 +142,6 @@ class Recompiler:
                  optimize: bool = True,
                  observed_callbacks: Optional[Set[int]] = None,
                  instrument_accesses: bool = False,
-                 record_entries: bool = False,
                  miss_mode: str = "runtime",
                  enter_import: str = "__poly_enter",
                  lazy_flags: bool = True,
@@ -158,7 +155,6 @@ class Recompiler:
         self.optimize = optimize
         self.observed_callbacks = observed_callbacks
         self.instrument_accesses = instrument_accesses
-        self.record_entries = record_entries
         self.miss_mode = miss_mode
         self.enter_import = enter_import
         self.lazy_flags = lazy_flags
@@ -274,9 +270,8 @@ class Recompiler:
                      for fn in cfg.functions.values()
                      for block in fn.blocks.values()]
             builder = RecompiledBinaryBuilder(
-                module, self.image, record_entries=self.record_entries,
-                scrub_blocks=scrub, enter_import=self.enter_import,
-                pgo=pgo)
+                module, self.image, scrub_blocks=scrub,
+                enter_import=self.enter_import, pgo=pgo)
             image = builder.build()
         stats.apply_span(span)
         return RecompileResult(image=image, module=module, cfg=cfg,

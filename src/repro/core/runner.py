@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..binfmt import Image
 from ..emulator import EmulationFault, ExternalLibrary, Machine
@@ -22,7 +22,6 @@ class RunResult:
     threads: int
     #: Polynima-runtime dynamic analysis records (if any).
     access_log: Dict[str, dict] = field(default_factory=dict)
-    entry_log: set = field(default_factory=set)
     net_sent: List[bytes] = field(default_factory=list)
     #: Emulator perf-counter snapshot (``Machine.perf_counters()``),
     #: keyed by the dotted names in docs/OBSERVABILITY.md.
@@ -89,7 +88,6 @@ def run_image(image: Image, input_blob: bytes = b"",
         threads=len(machine.threads),
         access_log={site_from_numeric(site): record for site, record
                     in library.poly_access_log.items()},
-        entry_log=set(library.poly_entry_log),
         net_sent=[bytes(b) for b in library.net_sent],
         counters=machine.perf_counters().snapshot(),
         races=list(sanitizer.reports) if sanitizer is not None else [],

@@ -24,13 +24,12 @@ are emitted (§3.3.3):
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from ..binfmt import Image
-from ..emulator.extlib import RT_RECORD_ENTRY
 from ..ir import Function, Module
 from ..isa import Assembler, Imm, Label, Mem, Reg, encode, ins
-from .lowering import FunctionLowering, TLS_REG
+from .lowering import FunctionLowering
 from .vstate import EMUSTACK_SIZE, TLS_BLOCK_SIZE, TLS_GPR_BASE
 
 PTEXT_BASE = 0x4000000
@@ -52,14 +51,12 @@ class BuildError(Exception):
 class RecompiledBinaryBuilder:
     """Assembles lowered code, wrappers, trampolines and runtime into the final VXE image."""
     def __init__(self, module: Module, input_image: Image,
-                 record_entries: bool = False,
                  emustack_size: int = EMUSTACK_SIZE,
                  scrub_blocks=None,
                  enter_import: str = "__poly_enter",
                  pgo=None) -> None:
         self.module = module
         self.input_image = input_image
-        self.record_entries = record_entries
         self.emustack_size = emustack_size
         #: Optional :class:`repro.profile.ProfileGuide` steering block
         #: layout and branch senses in each function's lowering.
@@ -177,18 +174,6 @@ class RecompiledBinaryBuilder:
         # registers are preserved by the runtime call.
         asm.emit(ins("call",
                      Imm(self.output.import_slot(self.enter_import))))
-        if self.record_entries:
-            # Callback-analysis instrumentation: note that this function
-            # was entered from external context (§3.3.3).
-            for reg in ("rdi", "rsi", "rdx", "rcx", "r8", "r9"):
-                asm.emit(ins("push", Reg(reg)))
-            asm.emit(ins("push", Reg("rax")))
-            asm.emit(ins("mov", Reg("rdi"), Imm(fn.origin_addr)))
-            asm.emit(ins("call",
-                         Imm(self.output.import_slot(RT_RECORD_ENTRY))))
-            asm.emit(ins("pop", Reg("rax")))
-            for reg in ("r9", "r8", "rcx", "rdx", "rsi", "rdi"):
-                asm.emit(ins("pop", Reg(reg)))
         # Marshal native argument registers into the virtual state.
         for name in _ARG_REG_NAMES:
             asm.emit(ins("mov", Mem(base=Reg("rax"),

@@ -29,16 +29,13 @@ the binary is non-spinning.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..ir import (Argument, AtomicRMW, BinOp, Block, Call, Cast, Cmpxchg,
-                  CondBr, ConstantInt, Fence, Function, GlobalVar, ICmp,
-                  Instruction, Load, Loop, Module, Phi, Select, Store,
-                  Switch, back_edge_loops, natural_loops)
-from ..passes import Inliner, LoopSimplify, Mem2Reg, RegPromote, \
-    SimplifyCFG, clone_function_body, standard_pipeline
+from ..ir import (AtomicRMW, Call, Cmpxchg, CondBr, Function, GlobalVar, ICmp,
+                  Instruction, Load, Loop, Module, Phi, Store, back_edge_loops)
+from ..passes import (Inliner, LoopSimplify, clone_function_body,
+                      standard_pipeline)
 from ..passes.alias import may_alias, symbolic_addr
 from .instrument import site_id_of
 

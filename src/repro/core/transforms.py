@@ -19,9 +19,9 @@ CVE-2023-24042 mitigation uses:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Set
 
-from ..ir import Call, Function, Instruction, Module, Switch, VOID
+from ..ir import Call, Function, Module, Switch, VOID
 from ..passes import Pass
 
 

@@ -22,11 +22,10 @@ dataflow through register copies, so rbp-framed O0 code is covered).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from ..ir import (Block, Cast, ConstantInt, Function, GlobalVar, I1, I8,
-                  I32, I64, IRBuilder, Load, Module, Store, Value, const,
-                  int_type, type_for_width)
+from ..ir import (ConstantInt, GlobalVar, I8, I32, I64, IRBuilder, Value,
+                  const, type_for_width)
 from ..isa import Imm, Instruction, Mem, Reg
 from ..isa.spec import SPEC
 from .vstate import VirtualState

@@ -22,8 +22,8 @@ The seed loop's per-instruction runnable-thread rescan is replaced by
 the machine's incrementally maintained ``_runnable`` counter, updated
 only on thread state transitions (spawn/block/wake/done) and resynced
 for free at every ``_pick_thread``.  Calls to the library's *leaf
-intrinsics* (the dynamic analyses' ``__poly_record_*`` recorders,
-pre-resolved per import stub in ``Machine._leaf_stubs``) also stay in
+intrinsics* (the fence optimisation's ``__poly_record_access``
+recorder, pre-resolved per import stub in ``Machine._leaf_stubs``) also stay in
 the chain: a leaf cannot change thread states, so the chain charges
 the import-stub cost and emulates the ``ret`` itself.
 

@@ -50,15 +50,13 @@ _COSTS = {
 
 _DEFAULT_COST = 20
 
-#: Leaf intrinsics of the Polynima runtime (see ``leaf_intrinsics``).
+#: The Polynima runtime's leaf intrinsic (see ``leaf_intrinsics``).
 RT_RECORD_ACCESS = "__poly_record_access"
-RT_RECORD_ENTRY = "__poly_record_entry"
 
 _COSTS.update({
     "__poly_enter": 14,
     "__poly_cf_miss": 10,
     RT_RECORD_ACCESS: 30,
-    RT_RECORD_ENTRY: 20,
 })
 
 
@@ -137,7 +135,6 @@ class ExternalLibrary:
         self._signaled_events: set = set()
         #: Integer site id -> access record (see ``_record_access``).
         self.poly_access_log: Dict[int, dict] = {}
-        self.poly_entry_log: set = set()
         for name in dir(self):
             if name.startswith("do_"):
                 self._handlers[name[3:]] = getattr(self, name)
@@ -806,14 +803,6 @@ class ExternalLibrary:
         record["count"] += 1
         return 0
 
-    def do___poly_record_entry(self, machine, thread, args):
-        """Callback analysis: record an external-visible entry invocation."""
-        return self._record_entry(thread, args[0], args[1])
-
-    def _record_entry(self, thread, entry, _unused):
-        self.poly_entry_log.add(entry)
-        return 0
-
     def leaf_intrinsics(self) -> Dict[str, Tuple[Callable, int]]:
         """Import name -> ``(handler(thread, rdi, rsi), cost)`` for the
         runtime calls the fast engine may run inline.
@@ -823,13 +812,11 @@ class ExternalLibrary:
         only effects are the handler's and the fixed cost.  A name whose
         handler was replaced (``register`` or a subclass) is left out
         and keeps the import-stub path."""
-        leaves = {}
-        for name, handler in ((RT_RECORD_ACCESS, self._record_access),
-                              (RT_RECORD_ENTRY, self._record_entry)):
-            stock = ExternalLibrary.__dict__["do_" + name]
-            if getattr(self._handlers.get(name), "__func__", None) is stock:
-                leaves[name] = (handler, _COSTS[name])
-        return leaves
+        name = RT_RECORD_ACCESS
+        stock = ExternalLibrary.__dict__["do_" + name]
+        if getattr(self._handlers.get(name), "__func__", None) is not stock:
+            return {}
+        return {name: (self._record_access, _COSTS[name])}
 
     # -- scripted network -------------------------------------------------------------
 

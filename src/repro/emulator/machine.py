@@ -16,7 +16,7 @@ normalised runtimes the way they do on real hardware.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..binfmt import IMPORT_STUB_BASE, Image
 from ..intmath import trunc_divmod
@@ -147,6 +147,10 @@ class Machine:
         self.step_hook: Optional[Callable] = None
         # Called as hook(machine, thread) when a thread finishes.
         self.thread_done_hooks: List[Callable] = []
+        # Guest functions entered from outside guest code: the program
+        # entry, every spawned thread's start routine and every
+        # call_guest target -- the callback analysis's input (§3.3.3).
+        self.external_entries: Set[int] = set()
         # Opt-in dynamic sanitizer (repro.sanitizers).  When one is
         # attached, the bound-method assignment below shadows the class
         # ``_step`` for this instance only, so unsanitized machines run
@@ -192,6 +196,7 @@ class Machine:
 
     def _spawn(self, entry: int, args: Tuple[int, ...],
                magic_ret: int) -> ThreadContext:
+        self.external_entries.add(entry)
         cpu = self._cpu_cls()
         top = self._alloc_stack()
         # 16-byte aligned stack with the magic return address on top,
@@ -506,6 +511,7 @@ class Machine:
         scheduled during the callback — acceptable, since callbacks run
         in call-site context.
         """
+        self.external_entries.add(fn_addr)
         cpu = thread.cpu
         saved_pc = cpu.pc
         saved_args = [cpu.get(reg) for reg in _ARG_REG_INDICES]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .function import Block, Function
+from .function import Block
 from .instructions import (Alloca, AtomicRMW, BinOp, Br, Call, Cast, Cmpxchg,
                            CompilerBarrier, CondBr, Fence, ICmp, Instruction,
                            Load, Phi, Ret, Select, Store, Switch, Unreachable)

@@ -6,7 +6,7 @@ import itertools
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from .instructions import Instruction, Phi
-from .types import I64, VOID
+from .types import I64
 from .values import Argument, GlobalVar, Value
 
 _block_counter = itertools.count()

@@ -10,10 +10,10 @@ program* from those synthesised by the lifting process — fence insertion
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .types import I1, I64, IntType, VOID
-from .values import ConstantInt, Value
+from .values import Value
 
 BINOPS = ("add", "sub", "mul", "sdiv", "srem", "and", "or", "xor",
           "shl", "lshr", "ashr")

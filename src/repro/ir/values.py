@@ -9,10 +9,9 @@ chains are the operand lists; def-use maps are computed on demand by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .types import I64, IntType, VoidType
+from .types import I64, IntType
 
 _counter = itertools.count()
 

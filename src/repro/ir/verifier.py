@@ -8,7 +8,7 @@ after each pass when ``PassManager(verify=True)``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from .analysis import dominates, dominators, predecessors, reachable_blocks
 from .function import Block, Function, Module

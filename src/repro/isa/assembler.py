@@ -9,8 +9,8 @@ and a second pass patches label references and emits bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Tuple, Union
 
 from .encoding import encode, encoded_size
 from .instructions import Imm, Instruction, Label, Mem, Operand

@@ -10,17 +10,15 @@ O0 speedups).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..binfmt import Image
-from ..isa import (ARG_REGS, Assembler, Imm, Instruction, Label, Mem, Reg,
-                   ins, RAX, RBP, RCX, RDX, RSP)
+from ..isa import ARG_REGS, Assembler, Imm, Instruction, Label, Mem, Reg, ins
 from .ast import (Assign, Binary, BlockStmt, BreakStmt, Call, CastExpr,
-                  ContinueStmt, Decl, Expr, ExprStmt, ForStmt, FuncDef,
-                  Ident, IfStmt, Index, IntLit, Program, ReturnStmt,
-                  SizeofExpr, StrLit, SwitchStmt, Ternary, Type, Unary,
-                  WhileStmt)
-from .sema import ATOMIC_BUILTINS, SemaResult
+                  ContinueStmt, Decl, Expr, ExprStmt, ForStmt, FuncDef, Ident,
+                  IfStmt, Index, IntLit, ReturnStmt, SizeofExpr, StrLit,
+                  SwitchStmt, Ternary, Type, Unary, WhileStmt)
+from .sema import SemaResult
 
 TEXT_BASE = 0x400000
 RODATA_BASE = 0x680000

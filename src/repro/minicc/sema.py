@@ -9,7 +9,7 @@ as in pre-C99 C.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .ast import (Assign, Binary, BlockStmt, BreakStmt, Call, CastExpr,
                   ContinueStmt, Decl, Expr, ExprStmt, ForStmt, FuncDef,

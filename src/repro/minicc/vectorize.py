@@ -16,11 +16,11 @@ helper style), which is what produces the paper's large slowdown on
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..isa import Imm, Label, Mem, Reg, ins
-from .ast import (Assign, Binary, BlockStmt, Call, Decl, Expr, ExprStmt,
-                  ForStmt, Ident, Index, IntLit)
+from .ast import (Assign, Binary, Call, Expr, ExprStmt, ForStmt, Ident, Index,
+                  IntLit)
 
 _VECTOR_OPS = {"+": "paddd", "-": "psubd", "*": "pmulld", "^": "pxor"}
 

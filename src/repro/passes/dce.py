@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from ..ir import Function, Instruction, Module, Phi
+from ..ir import Function, Instruction, Module
 from .manager import Pass
 
 

@@ -9,11 +9,10 @@ to enable data flow tracking across procedure calls" (§3.4.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
-from ..ir import (Argument, Block, Br, Call, ConstantInt, Function,
-                  GlobalVar, Instruction, Module, Phi, Ret, Unreachable,
-                  replace_all_uses)
+from ..ir import (Block, Br, Call, ConstantInt, Function, Module, Phi, Ret,
+                  Unreachable, replace_all_uses)
 from .manager import Pass
 
 

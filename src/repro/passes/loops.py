@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import copy
 
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from ..ir import (AtomicRMW, BinOp, Block, Br, Call, Cast, Cmpxchg,
-                  CompilerBarrier, CondBr, ConstantInt, Fence, Function,
-                  ICmp, Instruction, Load, Loop, Module, Phi, Select,
-                  Store, natural_loops, predecessors, users_map)
+                  CompilerBarrier, CondBr, Fence, Function, ICmp, Instruction,
+                  Load, Loop, Module, Phi, Select, Store, natural_loops,
+                  predecessors, users_map)
 from .manager import Pass
 
 

@@ -22,12 +22,12 @@ Safety arguments, mirroring the paper's:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from ..ir import (AtomicRMW, BinOp, Block, Call, Cmpxchg, CompilerBarrier,
-                  ConstantInt, Fence, Function, GlobalVar, Instruction,
-                  Load, Loop, Module, Phi, Store, const, natural_loops,
-                  predecessors, replace_all_uses)
+from ..ir import (AtomicRMW, Block, Call, Cmpxchg, CompilerBarrier,
+                  ConstantInt, Fence, Function, GlobalVar, Instruction, Load,
+                  Loop, Module, Phi, Store, natural_loops, predecessors,
+                  replace_all_uses)
 from .alias import AddrKey, access_is_stack, may_alias, symbolic_addr
 from .manager import Pass
 

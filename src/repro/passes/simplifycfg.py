@@ -3,10 +3,8 @@ empty-block threading and single-predecessor phi collapsing."""
 
 from __future__ import annotations
 
-from typing import List
-
-from ..ir import (Block, Br, Function, Instruction, Module, Phi,
-                  predecessors, reachable_blocks, replace_all_uses)
+from ..ir import (Br, Function, Module, predecessors, reachable_blocks,
+                  replace_all_uses)
 from .manager import Pass
 
 

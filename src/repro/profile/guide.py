@@ -12,7 +12,7 @@ actually consulted.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .format import Profile
 

@@ -9,7 +9,7 @@ cached per (name, opt_level) since compilation is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..binfmt import Image
 from ..emulator import ExternalLibrary

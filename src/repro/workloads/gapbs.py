@@ -15,7 +15,7 @@ kernels over ``int32`` or ``int`` payload arrays.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .base import InputSpec, Workload
 

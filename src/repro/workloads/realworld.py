@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .base import InputSpec, Workload, lcg_bytes
 

@@ -15,7 +15,7 @@ input complexity can be scaled for the Figure 4 additive-lifting sweep.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .base import InputSpec, Workload, lcg_bytes
 

@@ -92,15 +92,14 @@ def test_engines_bit_identical_with_profiling(name):
 @pytest.mark.parametrize("seed, profile", [(3, False), (11, False),
                                            (3, True)])
 def test_engines_bit_identical_on_instrumented_build(seed, profile):
-    """The fast engine runs the ``__poly_record_*`` leaf intrinsics
-    inside its chain; on a build recording both accesses and entries it
-    must still match the reference loop bit for bit, analysis logs
-    (and, when profiled, register traffic) included."""
+    """The fast engine runs the ``__poly_record_access`` leaf intrinsic
+    inside its chain; on an access-instrumented build it must still
+    match the reference loop bit for bit, access log (and, when
+    profiled, register traffic) included."""
     from repro.core import Recompiler
     workload = get_workload("word_count")
     image = Recompiler(workload.compile(opt_level=3),
-                       instrument_accesses=True,
-                       record_entries=True).recompile().image
+                       instrument_accesses=True).recompile().image
     runs = {}
     for engine in ENGINES:
         result = run_image(image, library=workload.library("small"),
@@ -109,13 +108,12 @@ def test_engines_bit_identical_on_instrumented_build(seed, profile):
         assert result.fault is None
         runs[engine] = result
     reference = runs["reference"]
-    assert reference.access_log and reference.entry_log
+    assert reference.access_log
     for engine in ENGINES[1:]:
         run = runs[engine]
         assert _fingerprint(run) == _fingerprint(reference), \
             f"{engine} diverged from reference on an instrumented build"
         assert run.access_log == reference.access_log
-        assert run.entry_log == reference.entry_log
 
 
 def test_replaced_leaf_intrinsic_keeps_import_path():
@@ -125,15 +123,15 @@ def test_replaced_leaf_intrinsic_keeps_import_path():
     from repro.core import Recompiler
     workload = get_workload("word_count")
     image = Recompiler(workload.compile(opt_level=3),
-                       record_entries=True).recompile().image
+                       instrument_accesses=True).recompile().image
     seen = []
     library = workload.library("small")
-    library.register("__poly_record_entry",
+    library.register("__poly_record_access",
                      lambda machine, thread, args: seen.append(args[0]))
     machine = Machine(image, library, seed=3, engine="fast")
     assert not machine._leaf_stubs
     machine.run()
-    assert seen and not library.poly_entry_log
+    assert seen and not library.poly_access_log
     stock = Machine(image, workload.library("small"), seed=3, engine="fast")
     assert len(stock._leaf_stubs) == 1
 

@@ -2,11 +2,13 @@
 
 ``output_digests.json`` pins the sha256 of a small fixed set of
 recompiled images: two static O3 builds per Table 4 group (traced as
-the benchmark traces them) plus one plain hybrid and two hybrids with
-fence optimisation (pca keeps its fences, word_count at O0 has them
-removed).  A change that is meant to alter the pipeline's
-output regenerates the file and bumps ``PIPELINE_VERSION`` (so stale
-artifact-cache entries are invalidated)::
+the benchmark traces them) plus three plain hybrids (word_count at O3
+enters a pthread start routine and a qsort comparator from the library)
+and two hybrids with fence optimisation (pca keeps its fences,
+word_count at O0 has them removed).  A change that is meant to alter
+the pipeline's output regenerates the file and bumps
+``PIPELINE_VERSION`` (so stale artifact-cache entries are
+invalidated)::
 
     PYTHONPATH=src python tests/integration/test_output_digests.py --write
 """
@@ -31,7 +33,8 @@ STATIC_CASES = ("bfs", "sssp", "ck_spinlock", "ck_mcs", "lightftp",
                 "memcached", "bzip2", "mcf")
 
 #: (workload, opt level, fence optimisation) through ``hybrid_recompile``.
-HYBRID_CASES = (("histogram", 0, False), ("pca", 3, True),
+HYBRID_CASES = (("histogram", 0, False), ("kmeans", 3, False),
+                ("word_count", 3, False), ("pca", 3, True),
                 ("word_count", 0, True))
 
 

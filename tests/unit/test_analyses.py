@@ -3,9 +3,9 @@ callback discovery (§3.3.3), fence optimisation, additive lifting."""
 
 import pytest
 
-from repro.core import (AdditiveLifting, Recompiler, SpinloopDetector,
-                        discover_callbacks, make_library, optimize_fences,
-                        run_image)
+from repro.core import (AdditiveLifting, ICFTTracer, Recompiler,
+                        SpinloopDetector, discover_callbacks, make_library,
+                        optimize_fences, run_image)
 from repro.core.spinloop import NON_SPINNING, SPINNING, UNCOVERED, \
     clone_module
 from repro.minicc import compile_minic
@@ -211,39 +211,32 @@ int main() {
     @pytest.mark.parametrize("source, opt, applied",
                              [("PTHREAD_ONLY", 0, True),
                               ("SPINLOCK", 3, False)])
-    def test_fused_analysis_matches_separate_builds(self, source, opt,
-                                                    applied):
-        """One instrumented build recording entries and accesses gives
-        what the callback build plus the access build gave.  Loop
-        header labels are left out: inlined loop copies are named by
-        the inliner, which the callback-pruned build runs differently."""
+    def test_observed_callbacks_prune_only_the_final_build(self, source,
+                                                           opt, applied):
+        """The callback set (the trace run's entries) prunes the final
+        build; the instrumented build, and so every verdict down to the
+        loop header labels, is the same with and without it."""
         image = compile_minic(getattr(self, source), opt_level=opt)
         cfg = Recompiler(image).recover_cfg()
-        observed = discover_callbacks(image, make_library, seed=2,
-                                      cfg=cfg).observed
-        separate = optimize_fences(image, make_library, seed=2, cfg=cfg,
-                                   observed_callbacks=observed)
-        fused = optimize_fences(image, make_library, seed=2, cfg=cfg,
-                                record_callbacks=True)
+        observed = discover_callbacks(image, make_library, seed=2).observed
+        pruned = optimize_fences(image, make_library, seed=2, cfg=cfg,
+                                 observed_callbacks=observed)
+        unpruned = optimize_fences(image, make_library, seed=2, cfg=cfg)
 
         def verdicts(report):
-            return sorted((v.function, v.verdict, v.origin_addrs)
+            return sorted((v.function, v.header, v.verdict, v.origin_addrs)
                           for v in report.spinloops.verdicts)
 
-        assert fused.observed_callbacks == observed
-        assert fused.applied == separate.applied == applied
-        assert verdicts(fused) == verdicts(separate)
-        assert verdicts(fused)
-        assert fused.access_sites_observed == \
-            separate.access_sites_observed
-        assert fused.result.image.to_bytes() == \
-            separate.result.image.to_bytes()
-
-    def test_record_callbacks_excludes_observed_callbacks(self):
-        image = compile_minic(self.PTHREAD_ONLY, opt_level=0)
-        with pytest.raises(ValueError):
-            optimize_fences(image, make_library, observed_callbacks=set(),
-                            record_callbacks=True)
+        assert pruned.applied == unpruned.applied == applied
+        assert verdicts(pruned) == verdicts(unpruned)
+        assert verdicts(pruned)
+        assert pruned.access_sites_observed == \
+            unpruned.access_sites_observed
+        final = Recompiler(image, insert_fences=not applied,
+                           observed_callbacks=observed).recompile(cfg=cfg)
+        assert pruned.result.image.to_bytes() == final.image.to_bytes()
+        original = run_image(image, seed=2)
+        assert run_image(pruned.result.image, seed=2).matches(original)
 
     def test_applied_for_pthread_only_program(self):
         image = compile_minic(self.PTHREAD_ONLY, opt_level=0)
@@ -283,6 +276,17 @@ class TestCallbackDiscovery:
                                     seed=2)
         # main + worker observed.
         assert len(report.observed) >= 2
+        assert counter_mt_o3.entry in report.observed
+
+    def test_observed_is_the_trace_entries(self, counter_mt_o3):
+        """The analysis is a trace run of the original, merged over
+        runs: its set is what the ICFT trace records."""
+        report = discover_callbacks(counter_mt_o3, make_library, runs=2,
+                                    seed=2)
+        trace = ICFTTracer(counter_mt_o3).trace(
+            lambda _x: make_library(), inputs=[None, None], seed=2)
+        assert report.runs == trace.runs == 2
+        assert report.observed == trace.entries
 
     def test_rebuild_with_observations_correct(self, counter_mt_o3):
         original = run_image(counter_mt_o3, seed=2)

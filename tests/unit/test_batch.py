@@ -349,3 +349,30 @@ class TestHybridIntegration:
         # Stats survive the cache roundtrip.
         assert warm.stats.get("blocks_recovered") == \
             cold.stats.get("blocks_recovered")
+
+    @pytest.mark.parametrize("fence_opt, builds", [(False, 1), (True, 2)])
+    def test_trace_run_serves_the_callback_analysis(self, monkeypatch,
+                                                    fence_opt, builds):
+        """A plain job makes one build and one emulation (the ICFT trace
+        run, which also yields the callback set); fence optimisation
+        adds its instrumented build and run."""
+        from repro.core import Recompiler, callbacks, hybrid_recompile
+        from repro.emulator import Machine
+        from repro.workloads import get
+        counts = {"builds": 0, "runs": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Recompiler, "recompile",
+                            counting("builds", Recompiler.recompile))
+        monkeypatch.setattr(Machine, "run", counting("runs", Machine.run))
+        monkeypatch.setattr(callbacks, "discover_callbacks", None)
+        result, report = hybrid_recompile(get("word_count"), 0, size="small",
+                                          fence_opt=fence_opt)
+        assert counts == {"builds": builds, "runs": builds}
+        assert (report is not None) == fence_opt
+        assert result.image

@@ -42,6 +42,34 @@ int main() {
 }
 '''
 
+#: Every way the library enters guest code: a pthread start routine, an
+#: OpenMP outlined body and a qsort comparator.  ``plus1`` is reached
+#: only by an indirect call inside the guest, ``add`` only directly.
+ENTRIES_PROG = r'''
+int total;
+int values[6];
+int add(int a, int b) { return a + b; }
+int plus1(int x) { return x + 1; }
+int worker(int *arg) { __sync_fetch_and_add(&total, 1); return 0; }
+int body(int *arg, int lo, int hi) {
+  int i;
+  for (i = lo; i < hi; i += 1) { __sync_fetch_and_add(&total, i); }
+  return 0;
+}
+int compare(int *a, int *b) { return a[0] - b[0]; }
+int main() {
+  int tids[2]; int t; int i;
+  for (t = 0; t < 2; t += 1) { pthread_create(&tids[t], 0, worker, (int*)t); }
+  for (t = 0; t < 2; t += 1) { pthread_join(tids[t], 0); }
+  omp_parallel_for(body, 0, 0, 8);
+  for (i = 0; i < 6; i += 1) { values[i] = (i * 5) % 6; }
+  qsort(values, 6, 8, compare);
+  int f = (int)plus1;
+  printf("%d %d %d", add(total, f(values[0])), values[5], values[1]);
+  return 0;
+}
+'''
+
 
 class TestRecoveredCFGModel:
     def _sample(self) -> RecoveredCFG:
@@ -166,3 +194,59 @@ class TestICFTTracer:
         trace.apply_to(cfg)
         assert cfg.total_icfts() >= before
         assert cfg.traced_sites
+
+
+class TestTraceEntries:
+    """The ICFT trace run records the guest functions the library
+    entered: the callback analysis (§3.3.3) reads them from it."""
+
+    @staticmethod
+    def _tracing_machine(monkeypatch, engine="fast"):
+        """Make ``ICFTTracer`` build its machine on ``engine`` and hand
+        back the list the machines it builds are appended to."""
+        from repro.core import icft_tracer
+        from repro.emulator import Machine
+        machines = []
+
+        def build(*args, **kwargs):
+            machine = Machine(*args, engine=engine, **kwargs)
+            machines.append(machine)
+            return machine
+
+        monkeypatch.setattr(icft_tracer, "Machine", build)
+        return machines
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_exactly_the_library_entries(self, monkeypatch, engine):
+        from repro.core import make_library
+        image = compile_minic(ENTRIES_PROG, opt_level=3, strip=False)
+        machines = self._tracing_machine(monkeypatch, engine)
+        trace = ICFTTracer(image).trace(lambda _x: make_library())
+        assert machines[0].engine == engine
+        assert not machines[0].fault
+        symbols = image.symbols
+        assert trace.entries == {image.entry, symbols["worker"],
+                                 symbols["body"], symbols["compare"]}
+
+    def test_entries_merge_across_runs(self):
+        from repro.core import TraceResult
+        a = TraceResult(entries={1, 2}, runs=1)
+        a.merge(TraceResult(entries={2, 3}, runs=1))
+        assert a.entries == {1, 2, 3} and a.runs == 2
+
+    @pytest.mark.parametrize("opt", [0, 3])
+    def test_trace_run_is_the_original_run(self, monkeypatch, opt):
+        """The tracer's indirect hook and entry recording leave the run
+        untouched: it is the plain run of the original."""
+        from repro.core import make_library, run_image
+        image = compile_minic(ENTRIES_PROG, opt_level=opt)
+        machines = self._tracing_machine(monkeypatch)
+        trace = ICFTTracer(image).trace(lambda _x: make_library(), seed=4)
+        traced = machines[0]
+        plain = run_image(image, library=make_library(), seed=4)
+        assert plain.ok and trace.total_icfts
+        assert (bytes(traced.stdout), traced.exit_code, traced.wall_cycles,
+                traced.instructions) == (plain.stdout, plain.exit_code,
+                                         plain.wall_cycles,
+                                         plain.instructions)
+        assert trace.instructions == plain.instructions
